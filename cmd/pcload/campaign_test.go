@@ -1,133 +1,32 @@
 package main
 
-import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"testing"
-
-	"repro/internal/api"
-	"repro/internal/campaign"
-	"repro/internal/plan"
-	"repro/internal/service"
-)
-
-// newCampaignBackend serves /campaigns from a real campaign registry
-// over a real service, mirroring pcserved's wiring.
-func newCampaignBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	planner := plan.New(svc)
-	creg := campaign.NewRegistry(campaign.Services{
-		Measure: svc.Measure,
-		Infer:   svc.Infer,
-		Plan:    planner.Do,
-	}, campaign.Config{SweepInterval: -1})
-	t.Cleanup(creg.Close)
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		var req api.CampaignRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		camp, err := creg.Open(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
-		json.NewEncoder(w).Encode(api.CampaignCreated{ID: camp.ID, Config: camp.Config()})
-	})
-	mux.HandleFunc("GET /campaigns/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		camp, err := creg.Get(r.PathValue("id"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		camp.Subscribe()
-		defer camp.Unsubscribe()
-		i := 0
-		for {
-			lines, next, wait, done := camp.Events(i)
-			i = next
-			if len(lines) > 0 {
-				for _, line := range lines {
-					w.Write(line)
-					w.Write([]byte("\n"))
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-				continue
-			}
-			if done {
-				return
-			}
-			select {
-			case <-wait:
-			case <-r.Context().Done():
-				return
-			}
-		}
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
+import "testing"
 
 func TestRunCampaignAgainstBackend(t *testing.T) {
-	srv := newCampaignBackend(t)
-	var out bytes.Buffer
-	if err := runCampaign(&out, srv.URL, "K8/pc", 4, 2, 2); err != nil {
-		t.Fatalf("runCampaign: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{
+	srv := newNode(t)
+	report := load(t, options{workload: "campaign", addr: srv.URL, mix: "K8/pc", n: 4, c: 2, programs: 2})
+	wantLines(t, report,
 		"campaigns:   4 (0 failed, 0 ended early)",
 		"programs:    8 swept, 0 findings",
-		"determinism: 2 distinct configs, all paired streams identical",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-	for _, banned := range []string{"DETERMINISM VIOLATION", "MODEL REFUTED"} {
-		if strings.Contains(report, banned) {
-			t.Errorf("report contains %q:\n%s", banned, report)
-		}
-	}
+		"determinism: 2 distinct configs, all paired streams identical")
 }
 
 func TestRunCampaignRoundsToPairs(t *testing.T) {
-	srv := newCampaignBackend(t)
-	var out bytes.Buffer
-	if err := runCampaign(&out, srv.URL, "K8/pc", 3, 2, 2); err != nil {
-		t.Fatalf("runCampaign: %v\noutput:\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "campaigns:   4 ") {
-		t.Errorf("odd -campaigns not rounded up to pairs:\n%s", out.String())
-	}
+	srv := newNode(t)
+	report := load(t, options{workload: "campaign", addr: srv.URL, mix: "K8/pc", n: 3, c: 2, programs: 2})
+	wantLines(t, report, "campaigns:   4 ")
 }
 
 func TestRunCampaignRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := runCampaign(&out, "http://x", "K8/pc", 4, 2, 0); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := runCampaign(&out, "http://x", "K8/pc", 0, 2, 2); err == nil {
-		t.Error("-campaigns 0 accepted")
-	}
-	if err := runCampaign(&out, "http://x", "K8/pc", 4, 0, 2); err == nil {
-		t.Error("-programs 0 accepted")
-	}
-	if err := runCampaign(&out, "http://x", "garbage", 4, 2, 2); err == nil {
-		t.Error("bad mix accepted")
+	base := options{workload: "campaign", addr: "http://x", mix: "K8/pc", n: 4, c: 2, programs: 2}
+	for why, edit := range map[string]func(*options){
+		"-c 0":        func(o *options) { o.c = 0 },
+		"-n 0":        func(o *options) { o.n = 0 },
+		"-programs 0": func(o *options) { o.programs = 0 },
+		"bad mix":     func(o *options) { o.mix = "garbage" },
+	} {
+		o := base
+		edit(&o)
+		rejects(t, why, o)
 	}
 }

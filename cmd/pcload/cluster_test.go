@@ -1,15 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/cluster"
-	"repro/internal/monitor"
-	"repro/internal/server"
 )
 
 // newClusterFleet spins n real pcserved nodes and a pcfront over them,
@@ -20,15 +16,7 @@ func newClusterFleet(t *testing.T, n int) (front, direct string, backends []*htt
 	urls := make([]string, n)
 	backends = make([]*httptest.Server, n)
 	for i := range backends {
-		node := server.New(server.Config{
-			Workers:         2,
-			CalibrationRuns: 5,
-			Monitor:         monitor.Config{SweepInterval: -1},
-			Campaign:        campaign.Config{SweepInterval: -1},
-		})
-		t.Cleanup(node.Close)
-		backends[i] = httptest.NewServer(node.Handler())
-		t.Cleanup(backends[i].Close)
+		backends[i] = newNode(t)
 		urls[i] = backends[i].URL
 	}
 	f, err := cluster.NewFront(cluster.Config{
@@ -50,21 +38,17 @@ func newClusterFleet(t *testing.T, n int) (front, direct string, backends []*htt
 // fleet: zero failures, every body byte-identical to the direct node.
 func TestRunCluster(t *testing.T) {
 	front, direct, _ := newClusterFleet(t, 3)
-	var buf bytes.Buffer
-	if err := runCluster(&buf, front, direct, "K8/pc,CD/pc", 16, 4, 2); err != nil {
-		t.Fatalf("runCluster: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"(0 failed)",
-		"byte-identity:",
-		"fleet:",
-		"encode share:",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
-	}
+	report := load(t, options{workload: "cluster", addr: front, direct: direct, mix: "K8/pc,CD/pc", n: 16, c: 4, runs: 2})
+	wantLines(t, report, "(0 failed)", "\nbyte-identity:", "fleet:", "encode share:")
+}
+
+// TestRunClusterTrace drives -cluster -trace against a real fleet:
+// every stitched tree passes, and the report carries the line CI
+// greps for.
+func TestRunClusterTrace(t *testing.T) {
+	front, direct, _ := newClusterFleet(t, 3)
+	report := load(t, options{workload: "cluster-trace", addr: front, direct: direct, mix: "K8/pc,CD/pc", n: 8, c: 4, runs: 2})
+	wantLines(t, report, "(0 failed)", "\nstitching:", "front spans:")
 }
 
 // TestRunClusterSurvivesNodeKill kills one backend before the run: the
@@ -73,24 +57,15 @@ func TestRunCluster(t *testing.T) {
 func TestRunClusterSurvivesNodeKill(t *testing.T) {
 	front, direct, backends := newClusterFleet(t, 3)
 	backends[1].Close() // not the direct node — the oracle must survive
-	var buf bytes.Buffer
-	if err := runCluster(&buf, front, direct, "K8/pc", 12, 4, 2); err != nil {
-		t.Fatalf("runCluster with a dead node: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "(0 failed)") {
-		t.Errorf("expected zero failures after node kill:\n%s", buf.String())
-	}
+	report := load(t, options{workload: "cluster", addr: front, direct: direct, mix: "K8/pc", n: 12, c: 4, runs: 2})
+	wantLines(t, report, "(0 failed)")
 }
 
 // TestRunClusterValidation: the mode needs its oracle.
 func TestRunClusterValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runCluster(&buf, "http://x", "", "K8/pc", 4, 2, 2); err == nil {
-		t.Fatal("runCluster without -direct succeeded")
-	}
-	if err := runCluster(&buf, "http://x", "http://y", "K8/pc", 4, 0, 2); err == nil {
-		t.Fatal("runCluster with zero workers succeeded")
-	}
+	rejects(t, "-cluster without -direct", options{workload: "cluster", addr: "http://x", mix: "K8/pc", n: 4, c: 2, runs: 2})
+	rejects(t, "-cluster -trace without -direct", options{workload: "cluster-trace", addr: "http://x", mix: "K8/pc", n: 4, c: 2, runs: 2})
+	rejects(t, "zero workers", options{workload: "cluster", addr: "http://x", direct: "http://y", mix: "K8/pc", n: 4, runs: 2})
 }
 
 // TestPromHistogramP99 checks the bucket interpolation against a
@@ -102,7 +77,7 @@ func TestPromHistogramP99(t *testing.T) {
 		`fam_bucket{stage="encode",le="+Inf"} 100`,
 		`fam_bucket{stage="other",le="+Inf"} 5`,
 	}, "\n"))
-	p99, ok := promHistogramP99(text, "fam_bucket", `stage="encode"`)
+	p99, ok := promHistogramP99(text, "fam", "stage", "encode")
 	if !ok {
 		t.Fatal("no histogram found")
 	}
@@ -112,7 +87,7 @@ func TestPromHistogramP99(t *testing.T) {
 	if p99 < want-1e-9 || p99 > want+1e-9 {
 		t.Fatalf("p99 = %v, want %v", p99, want)
 	}
-	if _, ok := promHistogramP99(text, "fam_bucket", `stage="missing"`); ok {
+	if _, ok := promHistogramP99(text, "fam", "stage", "missing"); ok {
 		t.Fatal("matched a label set that does not exist")
 	}
 }

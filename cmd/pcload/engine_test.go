@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -9,53 +10,56 @@ import (
 )
 
 func TestBuildEnginePairs(t *testing.T) {
-	pairs, err := buildEnginePairs("K8/pc,CD/pc", 16, 2, 4)
+	m, err := engineMode(options{mix: "K8/pc,CD/pc", n: 16, runs: 2, seeds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pairs) != 16 {
-		t.Fatalf("pairs = %d, want 16", len(pairs))
+	if len(m.waves[0]) != 32 {
+		t.Fatalf("shots = %d, want 16 pairs", len(m.waves[0]))
 	}
-	for _, p := range pairs {
-		if p.req.Engine != "" {
-			t.Errorf("pair %s carries engine %q; pinning happens per shot", p.key, p.req.Engine)
+	// The two engines of a pair are interleaved and share one identity.
+	for i := 0; i < len(m.waves[0]); i += 2 {
+		interp, compiled := m.waves[0][i], m.waves[0][i+1]
+		if interp.key != compiled.key ||
+			!bytes.Contains(interp.body, []byte(api.EngineInterpreter)) ||
+			!bytes.Contains(compiled.body, []byte(api.EngineCompiled)) {
+			t.Errorf("pair %d not pinned interpreter/compiled under one key:\n%s\n%s", i/2, interp.body, compiled.body)
 		}
 	}
-	if _, err := buildEnginePairs("garbage", 4, 1, 1); err == nil {
+	if _, err := engineMode(options{mix: "garbage", n: 4, runs: 1, seeds: 1}); err == nil {
 		t.Error("bad mix accepted")
 	}
-	if _, err := buildEnginePairs("K8/pc", 4, 1, 0); err == nil {
+	if _, err := engineMode(options{mix: "K8/pc", n: 4, runs: 1}); err == nil {
 		t.Error("zero seeds accepted")
 	}
 }
 
 // TestRunEngineAgainstBackend drives the cross-engine workload against
-// a real service: every interpreter/compiled pair must come back
+// a real node: every interpreter/compiled pair must come back
 // byte-identical under concurrent load.
 func TestRunEngineAgainstBackend(t *testing.T) {
-	srv := newBackend(t)
-	var out bytes.Buffer
-	if err := runEngine(&out, srv.URL, "K8/pc,CD/pc", 12, 4, 2, 4); err != nil {
-		t.Fatalf("runEngine: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "engine pairs, interpreter and compiled byte-identical") {
-		t.Fatalf("missing conformance line:\n%s", out.String())
-	}
+	srv := newNode(t)
+	report := load(t, options{workload: "engine", addr: srv.URL, mix: "K8/pc,CD/pc", n: 12, c: 4, runs: 2, seeds: 4})
+	wantLines(t, report, "engine pairs, interpreter and compiled byte-identical")
 }
 
 // TestFireEngineClearsEcho checks the normalization that makes the two
 // engines' responses comparable: the echoed selector must not leak into
 // the compared body.
 func TestFireEngineClearsEcho(t *testing.T) {
-	srv := newBackend(t)
-	pair := enginePair{key: "k", req: api.MeasureRequest{
-		Processor: "K8", Stack: "pc", Bench: "loop:1000", Runs: 1,
-	}}
-	out := fireEngine(srv.Client(), srv.URL, pair, api.EngineInterpreter)
-	if out.err != nil || out.status != 200 {
-		t.Fatalf("fireEngine: err=%v status=%d", out.err, out.status)
+	srv := newNode(t)
+	m, err := engineMode(options{mix: "K8/pc", n: 1, runs: 1, seeds: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Contains(out.body, api.EngineInterpreter) {
-		t.Fatalf("normalized body still names the engine:\n%s", out.body)
+	o := fire(srv.Client(), srv.URL, m.waves[0][0])
+	if o.err != nil || o.status != http.StatusOK {
+		t.Fatalf("fire: err=%v status=%d", o.err, o.status)
+	}
+	if err := m.check(&o); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(o.cmp, api.EngineInterpreter) {
+		t.Fatalf("normalized body still names the engine:\n%s", o.cmp)
 	}
 }

@@ -2,105 +2,51 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
-
-	"repro/internal/api"
-	"repro/internal/service"
 )
 
-// newInferBackend serves /infer from a real service, mirroring
-// pcserved.
-func newInferBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /infer", func(w http.ResponseWriter, r *http.Request) {
-		var req api.InferRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := svc.Infer(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 func TestBuildInferItems(t *testing.T) {
-	items, err := buildInferItems("K8/pc,CD/pc", 18)
+	m, err := inferMode(options{mix: "K8/pc,CD/pc", n: 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 18 {
-		t.Fatalf("items = %d, want 18", len(items))
+	if len(m.waves[0]) != 18 {
+		t.Fatalf("shots = %d, want 18", len(m.waves[0]))
 	}
 	// Identical pairs for the determinism cross-check.
-	for i := 0; i+1 < len(items); i += 2 {
-		a, _ := json.Marshal(items[i].req)
-		b, _ := json.Marshal(items[i+1].req)
-		if string(a) != string(b) {
+	for i := 0; i+1 < len(m.waves[0]); i += 2 {
+		if a, b := m.waves[0][i].body, m.waves[0][i+1].body; !bytes.Equal(a, b) {
 			t.Errorf("pair %d not identical:\n%s\nvs\n%s", i/2, a, b)
 		}
 	}
 	// All three variants rotate in, including the planted inconsistency.
 	var measured, raw, inconsistent int
-	for _, item := range items {
+	for _, s := range m.waves[0] {
 		switch {
-		case item.inconsistent:
+		case bytes.Contains(s.body, []byte("ITLB_MISS")):
 			inconsistent++
-		case item.req.Items[0].Inputs[0].Measure != nil:
+		case bytes.Contains(s.body, []byte(`"measure":`)):
 			measured++
 		default:
 			raw++
 		}
 	}
 	if measured == 0 || raw == 0 || inconsistent == 0 {
-		t.Errorf("variant rotation incomplete: measured=%d raw=%d inconsistent=%d",
-			measured, raw, inconsistent)
+		t.Errorf("variant rotation incomplete: measured=%d raw=%d inconsistent=%d", measured, raw, inconsistent)
 	}
-
-	if _, err := buildInferItems("garbage", 4); err == nil {
+	if _, err := inferMode(options{mix: "garbage", n: 4}); err == nil {
 		t.Error("bad mix accepted")
 	}
 }
 
 func TestRunInferAgainstBackend(t *testing.T) {
-	srv := newInferBackend(t)
-	var out bytes.Buffer
-	if err := runInfer(&out, srv.URL, "K8/pc", 18, 4); err != nil {
-		t.Fatalf("runInfer: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{"infers:      18 (0 failed)", "tightening:", "residuals:", "determinism:"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
+	srv := newNode(t)
+	report := load(t, options{workload: "infer", addr: srv.URL, mix: "K8/pc", n: 18, c: 4})
+	wantLines(t, report, "infers:      18 (0 failed)", "tightening:", "residuals:   6 planted inconsistencies flagged, 12 clean items clean", "determinism:")
 }
 
 func TestRunInferRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := runInfer(&out, "http://x", "K8/pc", 4, 0); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := runInfer(&out, "http://x", "K8/pc", -1, 2); err == nil {
-		t.Error("negative -infers accepted")
-	}
-	if err := runInfer(&out, "http://x", "garbage", 4, 2); err == nil {
-		t.Error("bad mix accepted")
-	}
+	rejects(t, "-c 0", options{workload: "infer", addr: "http://x", mix: "K8/pc", n: 4})
+	rejects(t, "negative -n", options{workload: "infer", addr: "http://x", mix: "K8/pc", n: -1, c: 2})
+	rejects(t, "bad mix", options{workload: "infer", addr: "http://x", mix: "garbage", n: 4, c: 2})
 }

@@ -15,8 +15,15 @@
 // multiplexed estimation, sampling) so a load run exercises the whole
 // accuracy layer; the determinism cross-check applies unchanged.
 //
+// Every workload runs on one pair engine: a list of shots fired through
+// one worker pool, one determinism map grouping the answers by request
+// identity, and one report (count and failures, elapsed, throughput,
+// latency pooled and per endpoint) around the workload's own lines.
+// -n sets the workload's size; without it each workload keeps its
+// default (200 requests; 4 sessions, 12 plans, 18 infers, 6 campaigns).
+//
 // With -monitor, the workload shifts from request/response to
-// continuous monitoring: pcload opens -sessions streaming sessions in
+// continuous monitoring: pcload opens -n streaming sessions in
 // identical-configuration pairs, consumes every NDJSON stream to its
 // end event, and cross-checks that paired sessions streamed
 // byte-identical sample series — the determinism contract extended to
@@ -38,12 +45,12 @@
 // With -engine, every configuration in the mix is measured twice —
 // once pinned to the interpreter engine and once to the compiled
 // engine — concurrently, and the responses must be byte-identical
-// (after clearing the echoed engine selector): the in-process
-// cross-engine conformance suite, exercised over the wire against a
-// live server.
+// (after clearing the echoed engine selector), as must every repeat
+// of the configuration on either engine: the in-process cross-engine
+// conformance suite, exercised over the wire against a live server.
 //
 // With -campaign, the workload turns the server against itself:
-// pcload opens -campaigns adversarial counter-validation campaigns
+// pcload opens -n adversarial counter-validation campaigns
 // (POST /campaigns) in identical-configuration pairs, each sweeping
 // -programs generated programs through the measurement, inference,
 // and planning layers, consumes every NDJSON stream to its end event,
@@ -89,11 +96,11 @@
 //	pcload -addr http://localhost:7090 -n 200 -c 8 -calibrate
 //	pcload -addr http://localhost:7090 -mix "K8/pc,CD/PLpm" -n 100 -c 4
 //	pcload -addr http://localhost:7090 -n 100 -c 4 -analyze
-//	pcload -addr http://localhost:7090 -monitor -sessions 8 -steps 64
-//	pcload -addr http://localhost:7090 -plan -plans 24 -c 4
-//	pcload -addr http://localhost:7090 -infer -infers 24 -c 4
+//	pcload -addr http://localhost:7090 -monitor -n 8 -steps 64
+//	pcload -addr http://localhost:7090 -plan -n 24 -c 4
+//	pcload -addr http://localhost:7090 -infer -n 24 -c 4
 //	pcload -addr http://localhost:7090 -engine -n 64 -c 8
-//	pcload -addr http://localhost:7090 -campaign -campaigns 6 -programs 4
+//	pcload -addr http://localhost:7090 -campaign -n 6 -programs 4
 //	pcload -addr http://localhost:7090 -mixed -n 64 -c 8
 //	pcload -addr http://localhost:7090 -trace -n 32 -c 4
 //	pcload -addr http://localhost:7080 -cluster -direct http://localhost:7090 -n 64 -c 8
@@ -101,80 +108,77 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-
-	"repro/internal/api"
 )
 
+// options are pcload's flags after the workload has been resolved.
+type options struct {
+	workload          string // "" (measure), analyze, monitor, plan, infer, engine, campaign, mixed, trace, cluster, cluster-trace
+	addr, direct, mix string
+	n, c, runs, seeds int
+	steps, window     int
+	programs          int
+	calibrate         bool
+}
+
+// defaultN is each workload's size when -n is not given.
+var defaultN = map[string]int{"monitor": 4, "plan": 12, "infer": 18, "campaign": 6}
+
 func main() {
-	var (
-		addr      = flag.String("addr", "http://localhost:7090", "pcserved base URL")
-		n         = flag.Int("n", 200, "total requests to send")
-		c         = flag.Int("c", 8, "concurrent client workers")
-		mixSpec   = flag.String("mix", "K8/pc,K8/pm,CD/pc,CD/PHpm", "comma-separated processor/stack pairs")
-		runs      = flag.Int("runs", 3, "measurement runs per request")
-		calibrate = flag.Bool("calibrate", false, "request calibration on every measurement")
-		seeds     = flag.Int("seeds", 8, "distinct seeds per configuration (spread defeats coalescing)")
-		analyze   = flag.Bool("analyze", false, "drive /analyze instead of /measure: rotate plain, duet, multiplexed, and sampling items")
-		monitor   = flag.Bool("monitor", false, "drive /sessions instead of /measure: open paired streaming sessions and cross-check their series")
-		sessions  = flag.Int("sessions", 4, "monitoring sessions to open with -monitor (rounded up to pairs)")
-		steps     = flag.Int("steps", 32, "samples per monitoring session with -monitor")
-		window    = flag.Int("window", 8, "samples per window with -monitor")
-		planMode  = flag.Bool("plan", false, "drive /plan instead of /measure: accuracy-targeted plans, asserting determinism, fused-interval narrowing, and CI-target attainment")
-		plans     = flag.Int("plans", 12, "plan requests to send with -plan (issued as identical pairs)")
-		inferMode = flag.Bool("infer", false, "drive /infer instead of /measure: constraint-graph inference, asserting determinism, posterior<=prior intervals, and residual verdicts")
-		infers    = flag.Int("infers", 18, "infer requests to send with -infer (issued as identical pairs)")
-		engine    = flag.Bool("engine", false, "drive /measure in engine pairs: every configuration pinned to the interpreter and the compiled engine, asserting byte-identical responses")
-		campMode  = flag.Bool("campaign", false, "drive /campaigns instead of /measure: paired adversarial counter-validation campaigns, asserting byte-identical streams and zero findings")
-		campaigns = flag.Int("campaigns", 6, "campaigns to open with -campaign (rounded up to pairs)")
-		programs  = flag.Int("programs", 4, "generated programs per campaign with -campaign")
-		mixed     = flag.Bool("mixed", false, "rotate every request through /measure, /analyze, /plan, and /infer; the report splits latency percentiles per endpoint")
-		traceMode = flag.Bool("trace", false, "drive traced+untraced request pairs across all endpoints, asserting span presence and byte-identity once the trace block is stripped")
-		clusterOn = flag.Bool("cluster", false, "treat -addr as a pcfront cluster: drive the mixed rotation through it and cross-check every response byte-identical to the -direct node")
-		directURL = flag.String("direct", "", "direct pcserved base URL the -cluster cross-check compares against")
-	)
+	var o options
+	flag.StringVar(&o.addr, "addr", "http://localhost:7090", "pcserved base URL")
+	flag.IntVar(&o.n, "n", 200, "workload size: requests, or sessions/plans/infers/campaigns (defaults 4/12/18/6); paired workloads round up to pairs")
+	flag.IntVar(&o.c, "c", 8, "concurrent client workers")
+	flag.StringVar(&o.mix, "mix", "K8/pc,K8/pm,CD/pc,CD/PHpm", "comma-separated processor/stack pairs")
+	flag.IntVar(&o.runs, "runs", 3, "measurement runs per request")
+	flag.BoolVar(&o.calibrate, "calibrate", false, "request calibration on every measurement")
+	flag.IntVar(&o.seeds, "seeds", 8, "distinct seeds per configuration (spread defeats coalescing)")
+	flag.IntVar(&o.steps, "steps", 32, "samples per monitoring session with -monitor")
+	flag.IntVar(&o.window, "window", 8, "samples per window with -monitor")
+	flag.IntVar(&o.programs, "programs", 4, "generated programs per campaign with -campaign")
+	flag.StringVar(&o.direct, "direct", "", "direct pcserved base URL the -cluster cross-check compares against")
+	workloads := []struct{ name, usage string }{
+		{"analyze", "drive /analyze instead of /measure: rotate plain, duet, multiplexed, and sampling items"},
+		{"monitor", "drive /sessions instead of /measure: open paired streaming sessions and cross-check their series"},
+		{"plan", "drive /plan instead of /measure: accuracy-targeted plans, asserting determinism, fused-interval narrowing, and CI-target attainment"},
+		{"infer", "drive /infer instead of /measure: constraint-graph inference, asserting determinism, posterior<=prior intervals, and residual verdicts"},
+		{"engine", "drive /measure in engine pairs: every configuration pinned to the interpreter and the compiled engine, asserting byte-identical responses"},
+		{"campaign", "drive /campaigns instead of /measure: paired adversarial counter-validation campaigns, asserting byte-identical streams and zero findings"},
+		{"mixed", "rotate every request through /measure, /analyze, /plan, and /infer; the report splits latency percentiles per endpoint"},
+		{"trace", "drive traced+untraced request pairs across all endpoints, asserting span presence and byte-identity once the trace block is stripped"},
+		{"cluster", "treat -addr as a pcfront cluster: drive the mixed rotation through it and cross-check every response byte-identical to the -direct node"},
+	}
+	selected := make([]*bool, len(workloads))
+	for i, wl := range workloads {
+		selected[i] = flag.Bool(wl.name, false, wl.usage)
+	}
 	flag.Parse()
 
-	var err error
-	modes := 0
-	for _, on := range []bool{*monitor, *planMode, *analyze, *inferMode, *engine, *campMode, *mixed, *traceMode, *clusterOn} {
-		if on {
-			modes++
+	var on []string
+	for i, wl := range workloads {
+		if *selected[i] {
+			on = append(on, wl.name)
 		}
 	}
+	var err error
 	switch {
-	case modes == 2 && *clusterOn && *traceMode:
-		err = runClusterTrace(os.Stdout, *addr, *directURL, *mixSpec, *n, *c, *runs)
-	case modes > 1:
+	case len(on) == 2 && on[0] == "trace" && on[1] == "cluster":
+		o.workload = "cluster-trace"
+	case len(on) > 1:
 		err = fmt.Errorf("-analyze, -monitor, -plan, -infer, -engine, -campaign, -mixed, -trace, and -cluster are mutually exclusive workloads (except -cluster -trace)")
-	case *clusterOn:
-		err = runCluster(os.Stdout, *addr, *directURL, *mixSpec, *n, *c, *runs)
-	case *mixed:
-		err = runMixed(os.Stdout, *addr, *mixSpec, *n, *c, *runs)
-	case *traceMode:
-		err = runTrace(os.Stdout, *addr, *mixSpec, *n, *c, *runs)
-	case *campMode:
-		err = runCampaign(os.Stdout, *addr, *mixSpec, *campaigns, *programs, *c)
-	case *monitor:
-		err = runMonitor(os.Stdout, *addr, *mixSpec, *sessions, *steps, *window, *c)
-	case *planMode:
-		err = runPlan(os.Stdout, *addr, *mixSpec, *plans, *c)
-	case *inferMode:
-		err = runInfer(os.Stdout, *addr, *mixSpec, *infers, *c)
-	case *engine:
-		err = runEngine(os.Stdout, *addr, *mixSpec, *n, *c, *runs, *seeds)
-	default:
-		err = run(os.Stdout, *addr, *mixSpec, *n, *c, *runs, *seeds, *calibrate, *analyze)
+	case len(on) == 1:
+		o.workload = on[0]
+	}
+	nSet := false
+	flag.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
+	if size, ok := defaultN[o.workload]; ok && !nSet {
+		o.n = size
+	}
+	if err == nil {
+		err = run(os.Stdout, o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pcload:", err)
@@ -182,285 +186,29 @@ func main() {
 	}
 }
 
-// workItem is one request to fire, tagged with its configuration key.
-type workItem struct {
-	key  string
-	req  api.MeasureRequest
-	cold bool // first request of its configuration in this plan
-	// analyze, plan, and infer, when set, redirect the item to that
-	// endpoint instead of posting req to /measure. At most one is set.
-	analyze *api.AnalyzeRequest
-	plan    *api.PlanRequest
-	infer   *api.InferRequest
+// workloads maps each workload name to the function that builds its mode.
+var workloads = map[string]func(options) (*mode, error){
+	"": measureMode, "analyze": measureMode, "mixed": mixedMode, "trace": traceMode,
+	"plan": planMode, "infer": inferMode, "engine": engineMode,
+	"monitor": monitorMode, "campaign": campaignMode,
+	"cluster": clusterMode, "cluster-trace": clusterTraceMode,
 }
 
-// endpoint returns the path the item posts to.
-func (it workItem) endpoint() string {
-	switch {
-	case it.analyze != nil:
-		return "/analyze"
-	case it.plan != nil:
-		return "/plan"
-	case it.infer != nil:
-		return "/infer"
+// run validates the options, builds the workload's mode, and drives it.
+func run(w io.Writer, o options) error {
+	if o.c <= 0 {
+		return fmt.Errorf("-c must be positive (got %d)", o.c)
 	}
-	return "/measure"
-}
-
-// payload returns the request body the item posts.
-func (it workItem) payload() any {
-	switch {
-	case it.analyze != nil:
-		return it.analyze
-	case it.plan != nil:
-		return it.plan
-	case it.infer != nil:
-		return it.infer
+	if o.n < 0 {
+		return fmt.Errorf("-n must be non-negative (got %d)", o.n)
 	}
-	return it.req
-}
-
-// outcome records one completed request.
-type outcome struct {
-	key      string
-	endpoint string
-	cold     bool
-	latency  time.Duration
-	body     string
-	status   int
-	err      error
-}
-
-func run(w io.Writer, addr, mixSpec string, n, c, runs, seeds int, calibrate, analyze bool) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
+	build, ok := workloads[o.workload]
+	if !ok {
+		return fmt.Errorf("unknown workload %q", o.workload)
 	}
-	if seeds <= 0 {
-		return fmt.Errorf("-seeds must be positive (got %d)", seeds)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
-	}
-	plan, err := buildPlan(mixSpec, n, runs, seeds, calibrate, analyze)
+	m, err := build(o)
 	if err != nil {
 		return err
 	}
-	results, elapsed := executePlan(addr, plan, c)
-	if err := report(w, results, elapsed, calibrate); err != nil {
-		return err
-	}
-	// The serialization-share measurement behind the pooled-encoder
-	// decision (docs/CLUSTER.md), computed from the server's own stage
-	// histograms now that this run has populated them.
-	reportEncodeShare(w, addr)
-	return nil
-}
-
-// executePlan fires a work plan through c concurrent workers and
-// returns the closed results channel plus the wall-clock elapsed time.
-// Shared by the default, -mixed, and -trace workloads.
-func executePlan(addr string, plan []workItem, c int) (<-chan outcome, time.Duration) {
-	work := make(chan workItem)
-	results := make(chan outcome, len(plan))
-	client := &http.Client{Timeout: 60 * time.Second}
-
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- fire(client, addr, item)
-			}
-		}()
-	}
-
-	start := time.Now()
-	for _, item := range plan {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
-	return results, elapsed
-}
-
-// parseMix parses a -mix spec — comma-separated PROC/stack pairs —
-// into measure-request stubs carrying only the configuration identity.
-// Shared by every workload builder so the mix format and its errors
-// have one definition.
-func parseMix(mixSpec string) ([]api.MeasureRequest, error) {
-	var configs []api.MeasureRequest
-	for _, pair := range strings.Split(mixSpec, ",") {
-		proc, stk, ok := strings.Cut(strings.TrimSpace(pair), "/")
-		if !ok {
-			return nil, fmt.Errorf("bad mix entry %q (want PROC/stack, e.g. K8/pc)", pair)
-		}
-		configs = append(configs, api.MeasureRequest{Processor: proc, Stack: stk})
-	}
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("empty mix")
-	}
-	return configs, nil
-}
-
-// buildPlan expands the mix into n requests: for each configuration, a
-// rotation of benchmarks and seeds. The first request of each
-// configuration is marked cold.
-func buildPlan(mixSpec string, n, runs, seeds int, calibrate, analyze bool) ([]workItem, error) {
-	configs, err := parseMix(mixSpec)
-	if err != nil {
-		return nil, err
-	}
-	for i := range configs {
-		configs[i].Runs = runs
-		configs[i].Calibrate = calibrate
-	}
-
-	benches := []string{"loop:1000", "loop:10000", "null", "array:500"}
-	patterns := []string{"ar", "ao", "rr", "ro"}
-	plan := make([]workItem, 0, n)
-	seen := make(map[string]bool)
-	for i := 0; i < n; i++ {
-		req := configs[i%len(configs)]
-		req.Bench = benches[(i/len(configs))%len(benches)]
-		req.Pattern = patterns[(i/(len(configs)*len(benches)))%len(patterns)]
-		// The PAPI high-level stacks cannot express read-without-reset
-		// patterns; keep their slice of the mix on ar/ao.
-		if strings.HasPrefix(req.Stack, "PH") && (req.Pattern == "rr" || req.Pattern == "ro") {
-			req.Pattern = "ar"
-		}
-		req.Seed = uint64(1 + i%seeds)
-		key := fmt.Sprintf("%s/%s", req.Processor, req.Stack)
-		// Cold means "first request that needs this calibration": the
-		// server caches calibrations per (shard, pattern, mode, opt),
-		// and within this plan mode and opt are constant. Under high
-		// concurrency a few cold-labeled items may race warm ones, so
-		// the split is approximate; the service benchmarks isolate the
-		// exact cache effect.
-		calKey := key + "/" + req.Pattern
-		item := workItem{key: key, req: req, cold: !seen[calKey]}
-		if analyze {
-			item.analyze = analyzeWrap(req, i)
-		}
-		plan = append(plan, item)
-		seen[calKey] = true
-	}
-	return plan, nil
-}
-
-// analyzeWrap turns a measure request into a one-item /analyze batch,
-// rotating through the error models so a load run exercises all of
-// them: plain counting, duet pairing against the null benchmark,
-// multiplexed estimation, and the sampling model.
-func analyzeWrap(req api.MeasureRequest, i int) *api.AnalyzeRequest {
-	item := api.AnalyzeItem{Measure: req}
-	switch i % 4 {
-	case 1:
-		duet := req
-		duet.Bench = "null"
-		item.Duet = &duet
-	case 2:
-		item.Measure.Events = []string{"INSTR_RETIRED", "CPU_CLK_UNHALTED"}
-		item.MpxCounters = 1
-	case 3:
-		item.SamplingPeriod = 10_000
-	}
-	return &api.AnalyzeRequest{Items: []api.AnalyzeItem{item}}
-}
-
-// fire sends one request and records its outcome.
-func fire(client *http.Client, addr string, item workItem) outcome {
-	path := item.endpoint()
-	body, err := json.Marshal(item.payload())
-	if err != nil {
-		return outcome{key: item.key, endpoint: path, err: err}
-	}
-	start := time.Now()
-	resp, err := client.Post(addr+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return outcome{key: item.key, endpoint: path, cold: item.cold, err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	out := outcome{
-		key:      item.key,
-		endpoint: path,
-		cold:     item.cold,
-		latency:  time.Since(start),
-		status:   resp.StatusCode,
-		err:      err,
-	}
-	if err == nil && resp.StatusCode == http.StatusOK {
-		// Identity for the determinism cross-check: identical request
-		// bodies must produce identical response bodies.
-		out.body = string(body) + "=>" + string(data)
-	}
-	return out
-}
-
-// report prints throughput, latency percentiles, the cold/warm split,
-// and the determinism cross-check.
-func report(w io.Writer, results <-chan outcome, elapsed time.Duration, calibrate bool) error {
-	var (
-		all, warm, cold []time.Duration
-		failures        int
-		total           int
-		byRequest       = make(map[string]string) // request body -> response body
-		byEndpoint      = make(map[string][]time.Duration)
-		divergent       int
-	)
-	for res := range results {
-		total++
-		if res.err != nil || res.status != http.StatusOK {
-			failures++
-			continue
-		}
-		all = append(all, res.latency)
-		byEndpoint[res.endpoint] = append(byEndpoint[res.endpoint], res.latency)
-		if res.cold {
-			cold = append(cold, res.latency)
-		} else {
-			warm = append(warm, res.latency)
-		}
-		reqBody, respBody, _ := strings.Cut(res.body, "=>")
-		if prev, ok := byRequest[reqBody]; ok && prev != respBody {
-			divergent++
-		} else {
-			byRequest[reqBody] = respBody
-		}
-	}
-
-	fmt.Fprintf(w, "requests:    %d (%d failed)\n", total, failures)
-	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
-	if len(all) > 0 && elapsed > 0 {
-		fmt.Fprintf(w, "throughput:  %.1f req/s\n", float64(len(all))/elapsed.Seconds())
-	}
-	fmt.Fprintf(w, "latency:     %s\n", summarizeLatency(all))
-	// A mixed workload pools endpoints with very different costs; split
-	// the percentiles per endpoint so neither hides the other.
-	if len(byEndpoint) > 1 {
-		endpoints := make([]string, 0, len(byEndpoint))
-		for ep := range byEndpoint {
-			endpoints = append(endpoints, ep)
-		}
-		sort.Strings(endpoints)
-		for _, ep := range endpoints {
-			fmt.Fprintf(w, "  %-10s %s (n=%d)\n", ep+":", summarizeLatency(byEndpoint[ep]), len(byEndpoint[ep]))
-		}
-	}
-	if calibrate && len(cold) > 0 && len(warm) > 0 {
-		fmt.Fprintf(w, "cold (first per config, runs calibration): %s\n", summarizeLatency(cold))
-		fmt.Fprintf(w, "warm (calibration cache hit):              %s\n", summarizeLatency(warm))
-	}
-	if divergent > 0 {
-		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical requests got different bodies\n", divergent)
-		return fmt.Errorf("%d divergent responses", divergent)
-	}
-	fmt.Fprintf(w, "determinism: %d distinct requests, all responses consistent\n", len(byRequest))
-	if failures > 0 {
-		return fmt.Errorf("%d requests failed", failures)
-	}
-	return nil
+	return m.run(w, o.addr, o.direct, o.c)
 }

@@ -3,125 +3,116 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/api"
+	"repro/internal/campaign"
 	"repro/internal/monitor"
-	"repro/internal/service"
+	"repro/internal/server"
 )
 
-// newBackend serves /measure from a real service, mirroring pcserved's
-// wire behavior closely enough for the client.
-func newBackend(t *testing.T) *httptest.Server {
+// newNode builds one real pcserved node in process and serves it.
+func newNode(t *testing.T) *httptest.Server {
 	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 9})
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /measure", func(w http.ResponseWriter, r *http.Request) {
-		var req api.MeasureRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := svc.Measure(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+	node := server.New(server.Config{
+		Workers:         2,
+		CalibrationRuns: 5,
+		Monitor:         monitor.Config{SweepInterval: -1},
+		Campaign:        campaign.Config{SweepInterval: -1},
 	})
-	mux.HandleFunc("POST /analyze", func(w http.ResponseWriter, r *http.Request) {
-		var req api.AnalyzeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := svc.Analyze(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	// Session routes, mirroring pcserved's wire behavior for the
-	// -monitor workload.
-	reg := monitor.NewRegistry(svc, monitor.Config{SweepInterval: -1})
-	t.Cleanup(reg.Close)
-	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
-		var req api.SessionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		sess, err := reg.Open(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
-		json.NewEncoder(w).Encode(api.SessionCreated{ID: sess.ID, Config: sess.Config()})
-	})
-	mux.HandleFunc("GET /sessions/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		sess, err := reg.Get(r.PathValue("id"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		sess.Subscribe()
-		defer sess.Unsubscribe()
-		flusher := w.(http.Flusher)
-		i := 0
-		for {
-			lines, next, wait, done := sess.Events(i)
-			i = next
-			if len(lines) > 0 {
-				for _, line := range lines {
-					w.Write(line)
-					w.Write([]byte("\n"))
-				}
-				flusher.Flush()
-				continue
-			}
-			if done {
-				return
-			}
-			select {
-			case <-wait:
-			case <-r.Context().Done():
-				return
-			}
-		}
-	})
-	srv := httptest.NewServer(mux)
+	t.Cleanup(node.Close)
+	srv := httptest.NewServer(node.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
 
+// newFlakyNode serves a real node but breaks determinism on purpose:
+// every third successful answer has the first digit of each line
+// bumped (9 becomes 8, so the JSON stays valid), so identical requests
+// get different bodies.
+func newFlakyNode(t *testing.T) string {
+	node := newNode(t)
+	var mu sync.Mutex
+	answered := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		node.Config.Handler.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		mu.Lock()
+		if rec.Code == http.StatusOK {
+			answered++
+		}
+		flip := rec.Code == http.StatusOK && answered%3 == 0
+		mu.Unlock()
+		for _, line := range bytes.SplitAfter(body, []byte("\n")) {
+			if i := bytes.IndexAny(line, "0123456789"); flip && i >= 0 {
+				if line[i] == '9' {
+					line[i] = '8'
+				} else {
+					line[i]++
+				}
+			}
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// load runs a workload that must pass and returns its report.
+func load(t *testing.T, o options) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatalf("run %+v: %v\noutput:\n%s", o, err, out.String())
+	}
+	return out.String()
+}
+
+// wantLines fails unless the report contains every line fragment.
+func wantLines(t *testing.T, report string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+}
+
+// rejects asserts a workload fails before or while running.
+func rejects(t *testing.T, why string, o options) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(&out, o); err == nil {
+		t.Errorf("%s accepted:\n%s", why, out.String())
+	}
+}
+
 func TestBuildPlan(t *testing.T) {
-	plan, err := buildPlan("K8/pc,CD/PHpm", 40, 3, 4, true, false)
+	m, err := measureMode(options{mix: "K8/pc,CD/PHpm", n: 40, runs: 3, seeds: 4, calibrate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan) != 40 {
-		t.Fatalf("plan size = %d, want 40", len(plan))
+	if len(m.waves[0]) != 40 {
+		t.Fatalf("plan size = %d, want 40", len(m.waves[0]))
 	}
 	colds := 0
-	for _, item := range plan {
-		if item.cold {
+	for _, s := range m.waves[0] {
+		if s.cold {
 			colds++
 		}
-		if strings.HasPrefix(item.req.Stack, "PH") && (item.req.Pattern == "rr" || item.req.Pattern == "ro") {
-			t.Errorf("PH stack assigned unsupported pattern %s", item.req.Pattern)
+		if bytes.Contains(s.body, []byte(`"stack":"PH`)) && bytes.Contains(s.body, []byte(`"pattern":"r`)) {
+			t.Errorf("PH stack assigned an unsupported pattern: %s", s.body)
 		}
-		if !item.req.Calibrate {
-			t.Error("calibrate flag not propagated")
+		if !bytes.Contains(s.body, []byte(`"calibrate":true`)) {
+			t.Errorf("calibrate flag not propagated: %s", s.body)
 		}
 	}
 	// Cold marks follow the server's calibration identity: one per
@@ -130,32 +121,24 @@ func TestBuildPlan(t *testing.T) {
 	if colds != 6 {
 		t.Errorf("cold requests = %d, want one per (config, pattern) = 6", colds)
 	}
-
-	if _, err := buildPlan("garbage", 10, 1, 1, false, false); err == nil {
+	if _, err := measureMode(options{mix: "garbage", n: 10, runs: 1, seeds: 1}); err == nil {
 		t.Error("bad mix accepted")
 	}
 }
 
 func TestBuildPlanAnalyze(t *testing.T) {
-	plan, err := buildPlan("K8/pc", 8, 2, 4, false, true)
+	m, err := measureMode(options{workload: "analyze", mix: "K8/pc", n: 8, runs: 2, seeds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var duets, mpxs, samps int
-	for _, item := range plan {
-		if item.analyze == nil || len(item.analyze.Items) != 1 {
-			t.Fatalf("analyze plan item not wrapped: %+v", item)
+	for _, s := range m.waves[0] {
+		if s.path != "/analyze" {
+			t.Fatalf("analyze shot not wrapped: %s %s", s.path, s.body)
 		}
-		ai := item.analyze.Items[0]
-		if ai.Duet != nil {
-			duets++
-		}
-		if ai.MpxCounters > 0 {
-			mpxs++
-		}
-		if ai.SamplingPeriod > 0 {
-			samps++
-		}
+		duets += bytes.Count(s.body, []byte(`"duet":`))
+		mpxs += bytes.Count(s.body, []byte(`"mpxCounters":`))
+		samps += bytes.Count(s.body, []byte(`"samplingPeriod":`))
 	}
 	if duets == 0 || mpxs == 0 || samps == 0 {
 		t.Errorf("analyze rotation incomplete: duets=%d mpx=%d sampling=%d", duets, mpxs, samps)
@@ -163,48 +146,33 @@ func TestBuildPlanAnalyze(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, "http://x", "K8/pc", 4, 0, 1, 1, false, false); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := run(&out, "http://x", "K8/pc", 4, 2, 1, 0, false, false); err == nil {
-		t.Error("-seeds 0 accepted; would panic")
+	base := options{addr: "http://x", mix: "K8/pc", n: 4, c: 2, runs: 1, seeds: 1}
+	for why, edit := range map[string]func(*options){
+		"-c 0 (would hang forever)": func(o *options) { o.c = 0 },
+		"-seeds 0 (would panic)":    func(o *options) { o.seeds = 0 },
+		"negative -n":               func(o *options) { o.n = -1 },
+		"bad mix":                   func(o *options) { o.mix = "garbage" },
+		"unknown workload":          func(o *options) { o.workload = "bogus" },
+	} {
+		o := base
+		edit(&o)
+		rejects(t, why, o)
 	}
 }
 
 func TestRunAgainstBackend(t *testing.T) {
-	srv := newBackend(t)
-	var out bytes.Buffer
-	if err := run(&out, srv.URL, "K8/pc,K8/pm,CD/pc,CD/PHpm", 32, 4, 2, 4, true, false); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{"throughput:", "latency:", "determinism:", "cold (", "warm ("} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
+	srv := newNode(t)
+	report := load(t, options{addr: srv.URL, mix: "K8/pc,K8/pm,CD/pc,CD/PHpm", n: 32, c: 4, runs: 2, seeds: 4, calibrate: true})
+	wantLines(t, report, "requests:    32 (0 failed)", "throughput:", "latency:", "determinism:", "cold (", "warm (", "encode share:")
 }
 
 func TestRunAnalyzeAgainstBackend(t *testing.T) {
-	srv := newBackend(t)
-	var out bytes.Buffer
+	srv := newNode(t)
 	// 16 requests cycle the full model rotation (plain, duet, mpx,
 	// sampling) on two shards; the determinism cross-check applies to
 	// /analyze bodies exactly as to /measure.
-	if err := run(&out, srv.URL, "K8/pc,CD/pc", 16, 4, 2, 4, false, true); err != nil {
-		t.Fatalf("run -analyze: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
-	if !strings.Contains(report, "determinism:") {
-		t.Errorf("report missing determinism line:\n%s", report)
-	}
+	report := load(t, options{workload: "analyze", addr: srv.URL, mix: "K8/pc,CD/pc", n: 16, c: 4, runs: 2, seeds: 4})
+	wantLines(t, report, "determinism:")
 }
 
 func TestReportLatencyLine(t *testing.T) {
@@ -216,33 +184,81 @@ func TestReportLatencyLine(t *testing.T) {
 }
 
 func TestRunMonitorAgainstBackend(t *testing.T) {
-	srv := newBackend(t)
-	var out bytes.Buffer
+	srv := newNode(t)
 	// Four sessions = two identical pairs; the cross-check must see
 	// every pair stream the same series.
-	if err := runMonitor(&out, srv.URL, "K8/pc,CD/pc", 4, 24, 8, 2); err != nil {
-		t.Fatalf("runMonitor: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{"sessions:    4 (0 failed, 0 ended early)", "samples:     96 streamed", "open:", "stream:", "determinism: 2 distinct configs"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
+	report := load(t, options{workload: "monitor", addr: srv.URL, mix: "K8/pc,CD/pc", n: 4, c: 2, steps: 24, window: 8})
+	wantLines(t, report, "sessions:    4 (0 failed, 0 ended early)", "samples:     96 streamed", "latency:", "stream:", "determinism: 2 distinct configs")
 }
 
 func TestRunMonitorRejectsBadFlags(t *testing.T) {
+	base := options{workload: "monitor", addr: "http://x", mix: "K8/pc", n: 4, c: 2, steps: 8, window: 4}
+	for why, edit := range map[string]func(*options){
+		"-c 0":    func(o *options) { o.c = 0 },
+		"-n 0":    func(o *options) { o.n = 0 },
+		"bad mix": func(o *options) { o.mix = "garbage" },
+	} {
+		o := base
+		edit(&o)
+		rejects(t, why, o)
+	}
+}
+
+// TestViolationsFailTheRun drives every workload family against a
+// deliberately nondeterministic node: each must exit non-zero and print
+// the determinism violation. The -engine case repeats every
+// configuration, so it also proves repeats on one engine are compared.
+func TestViolationsFailTheRun(t *testing.T) {
+	flaky := newFlakyNode(t)
+	front, _, _ := newClusterFleet(t, 2)
+	for name, o := range map[string]options{
+		"request/response": {addr: flaky, mix: "K8/pc", n: 20, runs: 1, seeds: 1},
+		"engine":           {workload: "engine", addr: flaky, mix: "K8/pc", n: 32, runs: 1, seeds: 1},
+		"stream":           {workload: "monitor", addr: flaky, mix: "K8/pc", n: 4, steps: 4, window: 2},
+		"cluster":          {workload: "cluster", addr: front, direct: flaky, mix: "K8/pc", n: 4, runs: 1},
+		"trace":            {workload: "trace", addr: flaky, mix: "K8/pc", n: 2, runs: 1},
+	} {
+		o.c = 1
+		var out bytes.Buffer
+		if err := run(&out, o); err == nil || !strings.Contains(out.String(), "DETERMINISM VIOLATION") {
+			t.Errorf("%s: err=%v, want a determinism violation:\n%s", name, err, out.String())
+		}
+	}
+}
+
+// TestRepeatDivergenceOnOneEngine is the -engine bugfix: two answers
+// for one engine that differ fail the run even when the last answers of
+// both engines agree.
+func TestRepeatDivergenceOnOneEngine(t *testing.T) {
+	m, err := engineMode(options{mix: "K8/pc", n: 1, runs: 1, seeds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(s shot, runs string) outcome {
+		return outcome{shot: s, status: http.StatusOK, body: []byte(`{"request":{"runs":` + runs + `}}`)}
+	}
+	interp, compiled := m.waves[0][0], m.waves[0][1]
+	outs := []outcome{answer(interp, "1"), answer(compiled, "1"), answer(interp, "2"), answer(interp, "1")}
 	var out bytes.Buffer
-	if err := runMonitor(&out, "http://x", "K8/pc", 4, 8, 4, 0); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
+	if err := m.report(&out, outs, time.Second); err == nil || !strings.Contains(out.String(), "DETERMINISM VIOLATION") {
+		t.Fatalf("repeat divergence passed: %v\n%s", err, out.String())
 	}
-	if err := runMonitor(&out, "http://x", "K8/pc", 0, 8, 4, 2); err == nil {
-		t.Error("-sessions 0 accepted")
-	}
-	if err := runMonitor(&out, "http://x", "garbage", 2, 8, 4, 2); err == nil {
-		t.Error("bad mix accepted")
-	}
+}
+
+// TestFailuresFailTheRun: a transport failure, a non-200 answer, and a
+// stream that closes without an end event each fail the run.
+func TestFailuresFailTheRun(t *testing.T) {
+	srv := newNode(t)
+	rejects(t, "transport failure", options{addr: "http://127.0.0.1:1", mix: "K8/pc", n: 1, c: 1, runs: 1, seeds: 1})
+	rejects(t, "non-200 answer", options{addr: srv.URL, mix: "Z80/pc", n: 1, c: 1, runs: 1, seeds: 1})
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusCreated)
+			json.NewEncoder(w).Encode(map[string]string{"id": "s1"})
+			return
+		}
+		w.Write([]byte(`{"type":"sample"}` + "\n"))
+	}))
+	defer endless.Close()
+	rejects(t, "stream without an end event", options{workload: "monitor", addr: endless.URL, mix: "K8/pc", n: 2, c: 1})
 }

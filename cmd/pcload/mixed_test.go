@@ -1,157 +1,53 @@
 package main
 
-import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"testing"
-
-	"repro/internal/api"
-	"repro/internal/plan"
-	"repro/internal/service"
-)
-
-// newFullBackend serves all four request/response endpoints from one
-// real service, mirroring pcserved for the -mixed and -trace
-// workloads.
-func newFullBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	planner := plan.New(svc)
-	mux := http.NewServeMux()
-	serve := func(handler func(r *http.Request, body []byte) (any, error)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			body := new(bytes.Buffer)
-			if _, err := body.ReadFrom(r.Body); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			resp, err := handler(r, body.Bytes())
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(resp)
-		}
-	}
-	mux.HandleFunc("POST /measure", serve(func(r *http.Request, body []byte) (any, error) {
-		var req api.MeasureRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return svc.Measure(r.Context(), req)
-	}))
-	mux.HandleFunc("POST /analyze", serve(func(r *http.Request, body []byte) (any, error) {
-		var req api.AnalyzeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return svc.Analyze(r.Context(), req)
-	}))
-	mux.HandleFunc("POST /plan", serve(func(r *http.Request, body []byte) (any, error) {
-		var req api.PlanRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return planner.Do(r.Context(), req)
-	}))
-	mux.HandleFunc("POST /infer", serve(func(r *http.Request, body []byte) (any, error) {
-		var req api.InferRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return svc.Infer(r.Context(), req)
-	}))
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
+import "testing"
 
 func TestBuildMixedPlan(t *testing.T) {
-	items, err := buildMixedPlan("K8/pc,CD/pc", 16, 2)
+	shots, err := mixedShots(options{mix: "K8/pc,CD/pc", n: 16, runs: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 16 {
-		t.Fatalf("items = %d, want 16", len(items))
+	if len(shots) != 16 {
+		t.Fatalf("shots = %d, want 16", len(shots))
 	}
 	counts := make(map[string]int)
-	for _, it := range items {
-		counts[it.endpoint()]++
+	for _, s := range shots {
+		counts[s.path]++
 	}
 	for _, ep := range []string{"/measure", "/analyze", "/plan", "/infer"} {
 		if counts[ep] != 4 {
-			t.Errorf("endpoint %s got %d items, want 4 (of %v)", ep, counts[ep], counts)
+			t.Errorf("endpoint %s got %d shots, want 4 (of %v)", ep, counts[ep], counts)
 		}
 	}
-	if _, err := buildMixedPlan("garbage", 8, 2); err == nil {
+	if _, err := mixedShots(options{mix: "garbage", n: 8, runs: 2}, false); err == nil {
 		t.Error("bad mix accepted")
 	}
 }
 
-// TestRunMixedAgainstBackend checks the per-endpoint percentile
-// satellite: a mixed workload reports one latency line per endpoint in
-// addition to the pooled summary.
+// TestRunMixedAgainstBackend checks the per-endpoint split: a mixed
+// workload reports one latency line per endpoint in addition to the
+// pooled summary.
 func TestRunMixedAgainstBackend(t *testing.T) {
-	srv := newFullBackend(t)
-	var out bytes.Buffer
-	if err := runMixed(&out, srv.URL, "K8/pc,CD/pc", 16, 4, 2); err != nil {
-		t.Fatalf("runMixed: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{
-		"latency:", "/measure:", "/analyze:", "/plan:", "/infer:", "determinism:",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
+	srv := newNode(t)
+	report := load(t, options{workload: "mixed", addr: srv.URL, mix: "K8/pc,CD/pc", n: 16, c: 4, runs: 2})
+	wantLines(t, report, "latency:", "/measure:", "/analyze:", "/plan:", "/infer:", "determinism:")
 }
 
-// TestRunMixedRejectsBadFlags mirrors the other workloads' flag
-// validation.
 func TestRunMixedRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := runMixed(&out, "http://x", "K8/pc", 4, 0, 1); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := runMixed(&out, "http://x", "garbage", 4, 2, 1); err == nil {
-		t.Error("bad mix accepted")
-	}
+	rejects(t, "-c 0", options{workload: "mixed", addr: "http://x", mix: "K8/pc", n: 4, runs: 1})
+	rejects(t, "bad mix", options{workload: "mixed", addr: "http://x", mix: "garbage", n: 4, c: 2, runs: 1})
 }
 
 // TestRunTraceAgainstBackend drives the -trace workload end to end:
 // every pair must pass the span-presence and strip-identity checks
-// against a real service.
+// against a real node.
 func TestRunTraceAgainstBackend(t *testing.T) {
-	srv := newFullBackend(t)
-	var out bytes.Buffer
-	if err := runTrace(&out, srv.URL, "K8/pc,CD/pc", 16, 4, 2); err != nil {
-		t.Fatalf("runTrace: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{
-		"pairs:       16 (0 failed)", "spans:", "/measure:", "/infer:",
-		"trace:       all pairs byte-identical",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
+	srv := newNode(t)
+	report := load(t, options{workload: "trace", addr: srv.URL, mix: "K8/pc,CD/pc", n: 16, c: 4, runs: 2})
+	wantLines(t, report, "requests:    32 (0 failed)", "spans:", "/measure:", "/infer:", "trace:       all pairs byte-identical")
 }
 
 func TestRunTraceRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := runTrace(&out, "http://x", "K8/pc", 4, 0, 1); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := runTrace(&out, "http://x", "garbage", 4, 2, 1); err == nil {
-		t.Error("bad mix accepted")
-	}
+	rejects(t, "-c 0", options{workload: "trace", addr: "http://x", mix: "K8/pc", n: 4, runs: 1})
+	rejects(t, "bad mix", options{workload: "trace", addr: "http://x", mix: "garbage", n: 4, c: 2, runs: 1})
 }

@@ -2,103 +2,49 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
-
-	"repro/internal/api"
-	"repro/internal/plan"
-	"repro/internal/service"
 )
 
-// newPlanBackend serves /plan from a real planner, mirroring pcserved.
-func newPlanBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	planner := plan.New(svc)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /plan", func(w http.ResponseWriter, r *http.Request) {
-		var req api.PlanRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := planner.Do(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 func TestBuildPlanPlans(t *testing.T) {
-	items, err := buildPlanPlans("K8/pc,CD/pc", 12)
+	m, err := planMode(options{mix: "K8/pc,CD/pc", n: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 12 {
-		t.Fatalf("items = %d, want 12", len(items))
+	if len(m.waves[0]) != 12 {
+		t.Fatalf("shots = %d, want 12", len(m.waves[0]))
 	}
 	// Every request is issued as an identical pair so the determinism
 	// cross-check has duplicates to compare.
-	for i := 0; i+1 < len(items); i += 2 {
-		a, _ := json.Marshal(items[i].req)
-		b, _ := json.Marshal(items[i+1].req)
-		if string(a) != string(b) {
+	for i := 0; i+1 < len(m.waves[0]); i += 2 {
+		if a, b := m.waves[0][i].body, m.waves[0][i+1].body; !bytes.Equal(a, b) {
 			t.Errorf("pair %d not identical:\n%s\nvs\n%s", i/2, a, b)
 		}
 	}
 	// The rotation must include both dedicated and multiplexed variants.
 	var dedicated, multiplexed int
-	for _, item := range items {
-		if len(item.req.Measure.Events) <= 2 {
-			dedicated++
-		} else {
+	for _, s := range m.waves[0] {
+		if bytes.Contains(s.body, []byte(`"counters":2`)) {
 			multiplexed++
+		} else {
+			dedicated++
 		}
 	}
 	if dedicated == 0 || multiplexed == 0 {
 		t.Errorf("variant rotation incomplete: dedicated=%d multiplexed=%d", dedicated, multiplexed)
 	}
-
-	if _, err := buildPlanPlans("garbage", 4); err == nil {
+	if _, err := planMode(options{mix: "garbage", n: 4}); err == nil {
 		t.Error("bad mix accepted")
 	}
 }
 
 func TestRunPlanAgainstBackend(t *testing.T) {
-	srv := newPlanBackend(t)
-	var out bytes.Buffer
-	if err := runPlan(&out, srv.URL, "K8/pc", 12, 4); err != nil {
-		t.Fatalf("runPlan: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{"plans:       12 (0 failed)", "attained:    12/12", "narrowing:", "determinism:"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
+	srv := newNode(t)
+	report := load(t, options{workload: "plan", addr: srv.URL, mix: "K8/pc", n: 12, c: 4})
+	wantLines(t, report, "plans:       12 (0 failed)", "attained:    12/12", "narrowing:", "determinism:")
 }
 
 func TestRunPlanRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := runPlan(&out, "http://x", "K8/pc", 4, 0); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := runPlan(&out, "http://x", "K8/pc", -1, 2); err == nil {
-		t.Error("negative -plans accepted")
-	}
-	if err := runPlan(&out, "http://x", "garbage", 4, 2); err == nil {
-		t.Error("bad mix accepted")
-	}
+	rejects(t, "-c 0", options{workload: "plan", addr: "http://x", mix: "K8/pc", n: 4})
+	rejects(t, "negative -n", options{workload: "plan", addr: "http://x", mix: "K8/pc", n: -1, c: 2})
+	rejects(t, "bad mix", options{workload: "plan", addr: "http://x", mix: "garbage", n: 4, c: 2})
 }

@@ -5,217 +5,182 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"sort"
-	"sync"
-	"time"
+	"slices"
 
 	"repro/internal/api"
 	"repro/internal/telemetry"
 )
 
-// traceOutcome records one traced+untraced pair and the contract
-// checks made on it.
-type traceOutcome struct {
-	endpoint string
-	latency  time.Duration // the traced request's latency
-	spans    int
-	err      error
-}
+// traced reports whether the shot opted into tracing.
+func traced(s shot) bool { return bytes.Contains(s.body, []byte(`"trace":true`)) }
 
-// withTrace returns the item's payload with the trace flag set —
-// the only difference from the untraced twin.
-func withTrace(item workItem) any {
-	switch {
-	case item.analyze != nil:
-		req := *item.analyze
-		req.Trace = true
-		return &req
-	case item.plan != nil:
-		req := *item.plan
-		req.Trace = true
-		return &req
-	case item.infer != nil:
-		req := *item.infer
-		req.Trace = true
-		return &req
+// twins returns the mixed rotation untraced and its traced twins, each
+// twin under its untraced request's identity so the determinism map
+// compares their stripped bodies. The twins go in a later wave: a
+// twin in flight beside its untraced request would coalesce with it
+// and trace only its wait.
+func twins(o options) (plain, tracedShots []shot, err error) {
+	if plain, err = mixedShots(o, false); err != nil {
+		return nil, nil, err
 	}
-	req := item.req
-	req.Trace = true
-	return req
+	tracedShots, _ = mixedShots(o, true)
+	for i := range plain {
+		tracedShots[i].key = plain[i].key
+	}
+	return plain, tracedShots, nil
 }
 
-// stripTraceBlock unmarshals a response body, removes the top-level
-// "trace" key, and re-marshals the rest. Go's map marshaling sorts
-// keys, so two bodies that agree on everything but the trace block
-// compare equal byte-for-byte after this.
-func stripTraceBlock(body []byte) (stripped string, trace *api.TraceInfo, err error) {
+// stripTrace sets the answer's compared body to the response with the
+// top-level "trace" key removed and returns that trace block; an
+// untraced answer must not carry one. Go's map marshaling sorts keys,
+// so two bodies that agree on everything but the trace block compare
+// equal byte-for-byte after this.
+func stripTrace(out *outcome) (*api.TraceInfo, error) {
 	var m map[string]json.RawMessage
-	if err := json.Unmarshal(body, &m); err != nil {
-		return "", nil, fmt.Errorf("unmarshal response: %w", err)
+	if err := json.Unmarshal(out.body, &m); err != nil {
+		return nil, fmt.Errorf("%s: unmarshal response: %w", out.path, err)
 	}
+	var trace *api.TraceInfo
 	if raw, ok := m["trace"]; ok {
-		trace = new(api.TraceInfo)
-		if err := json.Unmarshal(raw, trace); err != nil {
-			return "", nil, fmt.Errorf("unmarshal trace block: %w", err)
+		if !traced(out.shot) {
+			return nil, fmt.Errorf("%s: untraced response carries a trace block", out.path)
+		}
+		if err := json.Unmarshal(raw, &trace); err != nil {
+			return nil, fmt.Errorf("%s: unmarshal trace block: %w", out.path, err)
 		}
 		delete(m, "trace")
 	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(out), trace, nil
+	stripped, err := json.Marshal(m)
+	out.cmp = string(stripped)
+	return trace, err
 }
 
-// fireTracePair posts the item untraced and traced, then checks the
-// observability contract: no trace block without opt-in, a catalogued
-// span block with opt-in, and byte-identical bodies once the block is
-// stripped.
-func fireTracePair(client *http.Client, addr string, item workItem, catalogue map[string]bool) traceOutcome {
-	out := traceOutcome{endpoint: item.endpoint()}
-	post := func(payload any) ([]byte, error) {
-		body, err := json.Marshal(payload)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := client.Post(addr+item.endpoint(), "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s: status %d: %s", item.endpoint(), resp.StatusCode, data)
-		}
-		return data, nil
+// catalogue returns a span catalogue as a set.
+func catalogue(names []string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, name := range names {
+		set[name] = true
 	}
+	return set
+}
 
-	plain, err := post(item.payload())
-	if err != nil {
-		out.err = err
-		return out
+// checkSpans asserts a trace block has spans, every one drawn from the
+// catalogue and with a non-negative duration.
+func checkSpans(what string, tr *api.TraceInfo, cat map[string]bool) error {
+	if tr == nil || len(tr.Spans) == 0 {
+		return fmt.Errorf("%s has no spans", what)
 	}
-	start := time.Now()
-	traced, err := post(withTrace(item))
-	out.latency = time.Since(start)
-	if err != nil {
-		out.err = err
-		return out
-	}
-
-	plainStripped, plainTrace, err := stripTraceBlock(plain)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	if plainTrace != nil {
-		out.err = fmt.Errorf("%s: untraced response carries a trace block", item.endpoint())
-		return out
-	}
-	tracedStripped, traceBlock, err := stripTraceBlock(traced)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	if traceBlock == nil || len(traceBlock.Spans) == 0 {
-		out.err = fmt.Errorf("%s: traced response has no spans", item.endpoint())
-		return out
-	}
-	out.spans = len(traceBlock.Spans)
-	for _, sp := range traceBlock.Spans {
-		if !catalogue[sp.Name] {
-			out.err = fmt.Errorf("%s: span %q not in the telemetry catalogue", item.endpoint(), sp.Name)
-			return out
+	for _, sp := range tr.Spans {
+		if !cat[sp.Name] {
+			return fmt.Errorf("%s: span %q not in its catalogue", what, sp.Name)
 		}
 		if sp.DurationNs < 0 {
-			out.err = fmt.Errorf("%s: span %q has negative duration", item.endpoint(), sp.Name)
-			return out
+			return fmt.Errorf("%s: span %q has negative duration", what, sp.Name)
 		}
 	}
-	if tracedStripped != plainStripped {
-		out.err = fmt.Errorf("%s: TRACE VIOLATION: bodies differ beyond the trace block", item.endpoint())
-	}
-	return out
+	return nil
 }
 
-// runTrace drives the -trace workload: n traced+untraced pairs
-// rotating through /measure, /analyze, /plan, and /infer across c
-// workers, failing the run if any pair violates the observability
-// contract.
-func runTrace(w io.Writer, addr, mixSpec string, n, c, runs int) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
-	}
-	plan, err := buildMixedPlan(mixSpec, n, runs)
+// traceMode drives the mixed rotation as traced+untraced pairs: the
+// traced response must carry a span block drawn from the telemetry
+// catalogue, the untraced one must not, and the two bodies must be
+// byte-identical once the trace block is stripped — the client-side
+// check of the observability contract (docs/OBSERVABILITY.md).
+func traceMode(o options) (*mode, error) {
+	plain, tracedShots, err := twins(o)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	catalogue := make(map[string]bool)
-	for _, name := range telemetry.SpanNames() {
-		catalogue[name] = true
+	m := &mode{
+		noun:  "requests",
+		waves: [][]shot{plain, tracedShots},
+		agree: "trace:       all pairs byte-identical after stripping the trace block (%d distinct requests)",
 	}
-
-	work := make(chan workItem)
-	results := make(chan traceOutcome, len(plan))
-	client := &http.Client{Timeout: 60 * time.Second}
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- fireTracePair(client, addr, item, catalogue)
-			}
-		}()
-	}
-	start := time.Now()
-	for _, item := range plan {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
-
-	var (
-		total, failures, spans int
-		firstErr               error
-		byEndpoint             = make(map[string][]time.Duration)
-	)
-	for res := range results {
-		total++
-		if res.err != nil {
-			failures++
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
+	nodeCat := catalogue(telemetry.SpanNames())
+	spans := 0
+	m.check = func(out *outcome) error {
+		tr, err := stripTrace(out)
+		if err != nil || !traced(out.shot) {
+			return err
 		}
-		spans += res.spans
-		byEndpoint[res.endpoint] = append(byEndpoint[res.endpoint], res.latency)
+		if err := checkSpans(out.path+" trace", tr, nodeCat); err != nil {
+			return err
+		}
+		spans += len(tr.Spans)
+		return nil
 	}
+	m.extra = func(w io.Writer) {
+		fmt.Fprintf(w, "spans:       %d across all traced responses\n", spans)
+	}
+	return m, nil
+}
 
-	fmt.Fprintf(w, "pairs:       %d (%d failed)\n", total, failures)
-	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
-	fmt.Fprintf(w, "spans:       %d across all traced responses\n", spans)
-	endpoints := make([]string, 0, len(byEndpoint))
-	for ep := range byEndpoint {
-		endpoints = append(endpoints, ep)
+// clusterTraceMode drives the mixed rotation as stitched-trace checks
+// through a pcfront cluster: a traced and an untraced request through
+// the front, plus a traced reference request to the direct node,
+// asserting that
+//
+//   - the stitched tree carries the front's route and forward spans,
+//     every one drawn from the front span catalogue, with the origin
+//     naming the proxy;
+//   - the backend subtree is present, catalogued, and shape-identical
+//     to the direct node's own trace — the proxied trace is the direct
+//     trace with the cluster tier stacked on top, nothing rewritten;
+//   - stripping the trace block yields bodies byte-identical across
+//     traced/untraced and front/direct — tracing never perturbs the
+//     answer, and the cluster contract survives the trace rewrite.
+func clusterTraceMode(o options) (*mode, error) {
+	if o.direct == "" {
+		return nil, errNoDirect
 	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		fmt.Fprintf(w, "  %-10s %s (n=%d, traced)\n", ep+":", summarizeLatency(byEndpoint[ep]), len(byEndpoint[ep]))
+	plain, tracedShots, err := twins(o)
+	if err != nil {
+		return nil, err
 	}
-	if failures > 0 {
-		return fmt.Errorf("%d trace pairs failed, first: %w", failures, firstErr)
+	m := &mode{
+		noun:  "requests",
+		waves: [][]shot{plain, tracedShots, references(tracedShots)},
+		agree: "stitching:   every tree carries route+forward spans and a backend subtree shape-identical to the direct node (%d distinct requests)",
 	}
-	fmt.Fprintf(w, "trace:       all pairs byte-identical after stripping the trace block\n")
-	return nil
+	frontCat, nodeCat := catalogue(telemetry.FrontSpanNames()), catalogue(telemetry.SpanNames())
+	frontSpans := 0
+	m.check = func(out *outcome) error {
+		tr, err := stripTrace(out)
+		switch {
+		case err != nil || !traced(out.shot):
+			return err
+		case out.ref:
+			if tr == nil {
+				return fmt.Errorf("%s: direct traced response has no trace block", out.path)
+			}
+			out.shape = tr.Shape()
+			return nil
+		}
+		if err := checkSpans(out.path+" stitched tree", tr, frontCat); err != nil {
+			return err
+		}
+		if tr.Origin == "" {
+			return fmt.Errorf("%s: stitched tree names no origin", out.path)
+		}
+		has := func(name string) bool {
+			return slices.ContainsFunc(tr.Spans, func(sp api.SpanInfo) bool { return sp.Name == name })
+		}
+		if !has(telemetry.SpanRoute) || !has(telemetry.SpanForward) {
+			return fmt.Errorf("%s: stitched tree missing route/forward spans", out.path)
+		}
+		frontSpans += len(tr.Spans)
+		var sub api.TraceInfo
+		if len(tr.Backend) == 0 || json.Unmarshal(tr.Backend, &sub) != nil {
+			return fmt.Errorf("%s: stitched tree has no decodable backend subtree", out.path)
+		}
+		// The subtree's shape joins the determinism map next to the
+		// body, so it must equal the direct node's trace shape.
+		out.shape = sub.Shape()
+		return checkSpans(out.path+" backend subtree", &sub, nodeCat)
+	}
+	m.extra = func(w io.Writer) {
+		fmt.Fprintf(w, "cluster:     front=%s direct=%s\n", o.addr, o.direct)
+		fmt.Fprintf(w, "front spans: %d across all stitched trees\n", frontSpans)
+	}
+	return m, nil
 }

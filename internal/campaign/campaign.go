@@ -479,16 +479,20 @@ func (c *Campaign) summary() api.CampaignSummary {
 // close ends the campaign with a final end event carrying the reason.
 // Idempotent: the first closer (sweep completion, delete, eviction,
 // drain, failure) wins — the log's End gate decides the race — and the
-// campaign's context is cancelled so in-flight checks abort.
+// campaign's context is cancelled so in-flight checks abort. The state
+// is set under c.mu together with the end event, so a reader that saw
+// the end event snapshots the final state.
 func (c *Campaign) close(state, failure string) {
-	if !c.log.End(api.CampaignEvent{Type: api.CampaignEventEnd, Reason: state, Error: failure}) {
-		return
-	}
 	c.mu.Lock()
-	c.state = state
-	c.failure = failure
+	ended := c.log.End(api.CampaignEvent{Type: api.CampaignEventEnd, Reason: state, Error: failure})
+	if ended {
+		c.state = state
+		c.failure = failure
+	}
 	c.mu.Unlock()
-	c.cancel()
+	if ended {
+		c.cancel()
+	}
 }
 
 // Events exposes the event log's replay-then-follow read; see

@@ -16,6 +16,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/monitor"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // newBackend spins one real pcserved node (the production handler from
@@ -513,6 +514,9 @@ func TestFrontHealthzAndMetrics(t *testing.T) {
 	text, err := io.ReadAll(mresp.Body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := telemetry.LintExposition(bytes.NewReader(text)); err != nil {
+		t.Errorf("pcfront /metrics fails the exposition lint:\n%v", err)
 	}
 	for _, family := range []string{
 		"pcfront_http_requests_total",

@@ -317,6 +317,9 @@ func TestClusterMetricsFederation(t *testing.T) {
 	if got := bytes.Count(text, []byte("# TYPE pcserved_http_requests_total ")); got != 1 {
 		t.Fatalf("pcserved_http_requests_total declared %d times", got)
 	}
+	if err := telemetry.LintExposition(bytes.NewReader(text)); err != nil {
+		t.Errorf("/cluster/metrics fails the exposition lint:\n%v", err)
+	}
 
 	// Counters sum fleet-wide: the 3 measures each cost exactly one
 	// backend request, wherever they landed.

@@ -186,16 +186,20 @@ func overlap(a, b tsdb.Window) bool {
 // close ends the session with a final end event carrying the reason.
 // Idempotent: the first closer (sampler completion, delete, eviction,
 // drain, failure) wins — the log's End gate decides the race — and
-// later calls are no-ops.
+// later calls are no-ops. The state is set under s.mu together with the
+// end event, so a reader that saw the end event snapshots the final
+// state.
 func (s *Session) close(state, failure string) {
-	if !s.log.End(api.StreamEvent{Type: api.StreamEnd, Reason: state, Error: failure}) {
-		return
-	}
 	s.mu.Lock()
-	s.state = state
-	s.failure = failure
+	ended := s.log.End(api.StreamEvent{Type: api.StreamEnd, Reason: state, Error: failure})
+	if ended {
+		s.state = state
+		s.failure = failure
+	}
 	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stop) })
+	if ended {
+		s.stopOnce.Do(func() { close(s.stop) })
+	}
 }
 
 // Events exposes the event log's replay-then-follow read; see

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/monitor"
+	"repro/internal/telemetry"
 )
 
 // newPprofTestServer builds the handler with profiling endpoints
@@ -122,9 +122,9 @@ func TestTraceOptInEndToEnd(t *testing.T) {
 }
 
 // TestMetricsEndpoint scrapes /metrics after some traffic and checks
-// the exposition: parseable line format, HELP and TYPE for every
-// sampled family, no duplicate family definitions, and the key
-// families present with plausible values.
+// the exposition: it passes the exposition lint (HELP and TYPE for
+// every sampled family, no duplicate family definitions, parseable
+// lines), and the key families are present with plausible values.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := newTestServer(t)
 
@@ -146,64 +146,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("Content-Type = %q, want text/plain exposition", ct)
 	}
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.LintExposition(bytes.NewReader(text)); err != nil {
+		t.Errorf("/metrics fails the exposition lint:\n%v", err)
+	}
 
-	help := make(map[string]bool)
-	typed := make(map[string]string)
 	samples := make(map[string]float64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			name := strings.SplitN(strings.TrimPrefix(line, "# HELP "), " ", 2)[0]
-			help[name] = true
-		case strings.HasPrefix(line, "# TYPE "):
-			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
-			if len(fields) != 2 {
-				t.Fatalf("malformed TYPE line: %q", line)
-			}
-			if prev, dup := typed[fields[0]]; dup {
-				t.Errorf("family %s declared twice (%s, %s)", fields[0], prev, fields[1])
-			}
-			typed[fields[0]] = fields[1]
-		case strings.HasPrefix(line, "#"):
-			t.Errorf("unrecognized comment line: %q", line)
-		default:
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				t.Fatalf("malformed sample line: %q", line)
-			}
+	for _, line := range strings.Split(string(text), "\n") {
+		if fields := strings.Fields(line); len(fields) == 2 && !strings.HasPrefix(line, "#") {
 			// strconv, not JSON: exposition values include NaN and +Inf
 			// (the runtime histograms have no tracked sum).
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				t.Fatalf("unparseable value in %q: %v", line, err)
-			}
-			samples[fields[0]] = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-
-	// Every sample's base family must carry HELP and TYPE.
-	base := func(name string) string {
-		name = name[:strings.IndexAny(name+"{", "{")]
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			trimmed := strings.TrimSuffix(name, suffix)
-			if trimmed != name && typed[trimmed] == "histogram" {
-				return trimmed
-			}
-		}
-		return name
-	}
-	for name := range samples {
-		fam := base(name)
-		if !help[fam] || typed[fam] == "" {
-			t.Errorf("sample %s: family %s missing HELP or TYPE", name, fam)
+			samples[fields[0]], _ = strconv.ParseFloat(fields[1], 64)
 		}
 	}
 

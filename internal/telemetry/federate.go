@@ -98,6 +98,55 @@ func ParseExposition(r io.Reader) ([]ParsedFamily, error) {
 	return fams, sc.Err()
 }
 
+// LintExposition checks a text exposition the way a strict scraper
+// reads it, line by line: every sample's family must be declared by a
+// HELP and a TYPE line before the sample, no family may be typed twice,
+// and the only comments are HELP and TYPE. A _bucket, _sum, or _count
+// sample belongs to its base family only when that family is a
+// histogram. It reports every violation, joined, or nil for a clean
+// exposition. Tests and tooling call it; the serving path never does.
+func LintExposition(r io.Reader) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	help := make(map[string]bool)
+	typ := make(map[string]string)
+	var problems []error
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Text()
+		fields := strings.Fields(line)
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "# HELP ") && len(fields) >= 3:
+			help[fields[2]] = true
+		case strings.HasPrefix(line, "# TYPE ") && len(fields) == 4:
+			if _, dup := typ[fields[2]]; dup {
+				problems = append(problems, fmt.Errorf("line %d: duplicate TYPE for %s", lineNo, fields[2]))
+			}
+			typ[fields[2]] = fields[3]
+		case strings.HasPrefix(line, "#"):
+			problems = append(problems, fmt.Errorf("line %d: unrecognized comment %q", lineNo, line))
+		default:
+			s, err := parseSampleLine(line)
+			if err != nil {
+				problems = append(problems, fmt.Errorf("line %d: %w", lineNo, err))
+				continue
+			}
+			family := s.Name
+			if _, ok := typ[family]; !ok {
+				for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+					if base, found := strings.CutSuffix(s.Name, suffix); found && typ[base] == "histogram" {
+						family = base
+					}
+				}
+			}
+			if !help[family] || typ[family] == "" {
+				problems = append(problems, fmt.Errorf("line %d: sample %s: family %s missing HELP or TYPE", lineNo, s.Name, family))
+			}
+		}
+	}
+	return errors.Join(append(problems, sc.Err())...)
+}
+
 // parseSampleLine splits "name{k="v",...} value [timestamp]" into its
 // parts, honoring the label-value escapes the writer produces.
 func parseSampleLine(line string) (ParsedSample, error) {

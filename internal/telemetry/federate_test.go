@@ -177,3 +177,36 @@ func TestRuntimeWrite(t *testing.T) {
 		t.Fatalf("heap: %+v", h)
 	}
 }
+
+// TestLintExposition: the lint passes a well-formed exposition and
+// rejects each defect a strict scraper would.
+func TestLintExposition(t *testing.T) {
+	const clean = `# HELP reqs_total Requests served.
+# TYPE reqs_total counter
+reqs_total{endpoint="/measure"} 4
+# HELP lat_seconds Latency.
+# TYPE lat_seconds histogram
+lat_seconds_bucket{le="+Inf"} 3
+lat_seconds_sum 0.05
+lat_seconds_count 3
+
+`
+	if err := LintExposition(strings.NewReader(clean)); err != nil {
+		t.Fatalf("clean exposition rejected: %v", err)
+	}
+	for name, in := range map[string]string{
+		"duplicate TYPE":         clean + "# TYPE reqs_total gauge\n",
+		"family lacks HELP":      "# TYPE up gauge\nup 1\n",
+		"family lacks TYPE":      "# HELP up Up.\nup 1\n",
+		"sample before its TYPE": "# HELP up Up.\nup 1\n# TYPE up gauge\n",
+		"unrecognized comment":   clean + "# EOF\n",
+		"suffix on a counter":    "# HELP c_total C.\n# TYPE c_total counter\nc_total_count 1\n",
+		"suffix on a summary":    "# HELP rt Rt.\n# TYPE rt summary\nrt_sum 1\n",
+		"malformed sample":       clean + "reqs_total{endpoint=\"/x\" 1\n",
+		"whitespace-only line":   clean + " \n",
+	} {
+		if err := LintExposition(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: lint accepted\n%s", name, in)
+		}
+	}
+}
