@@ -11,6 +11,15 @@ func TestRunCampaignAgainstBackend(t *testing.T) {
 		"determinism: 2 distinct configs, all paired streams identical")
 }
 
+// TestRunCampaignAtDefaults runs the flag defaults (-n 6, -c 8) against
+// a node at its default limit of 4 campaigns: every campaign must be
+// admitted, none refused with 503.
+func TestRunCampaignAtDefaults(t *testing.T) {
+	srv := newNode(t)
+	report := load(t, options{workload: "campaign", addr: srv.URL, mix: "K8/pc", n: 6, c: 8, programs: 1})
+	wantLines(t, report, "campaigns:   6 (0 failed, 0 ended early)")
+}
+
 func TestRunCampaignRoundsToPairs(t *testing.T) {
 	srv := newNode(t)
 	report := load(t, options{workload: "campaign", addr: srv.URL, mix: "K8/pc", n: 3, c: 2, programs: 2})

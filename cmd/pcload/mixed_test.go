@@ -19,6 +19,16 @@ func TestBuildMixedPlan(t *testing.T) {
 			t.Errorf("endpoint %s got %d shots, want 4 (of %v)", ep, counts[ep], counts)
 		}
 	}
+	// No two shots of one wave share a body: identical traced requests
+	// in flight together would coalesce, and a follower's trace has a
+	// different shape from the direct node's.
+	seen := make(map[string]bool)
+	for _, s := range shots {
+		if seen[s.key] {
+			t.Errorf("duplicate request in one wave: %s", s.key)
+		}
+		seen[s.key] = true
+	}
 	if _, err := mixedShots(options{mix: "garbage", n: 8, runs: 2}, false); err == nil {
 		t.Error("bad mix accepted")
 	}

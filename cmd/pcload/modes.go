@@ -134,12 +134,14 @@ func analyzeWrap(req api.MeasureRequest, i int) *api.AnalyzeRequest {
 }
 
 // rawInfer is the BayesPerf-style sum decomposition over raw inputs:
-// consistent by construction and cheap, no measuring.
-func rawInfer() api.InferItem {
+// consistent by construction and cheap, no measuring. shift moves TOTAL
+// and A together, so the residual (and the verdict) stays the same
+// while the request body changes.
+func rawInfer(shift float64) api.InferItem {
 	return api.InferItem{
 		Inputs: []api.InferInput{
-			{Event: "TOTAL", Mean: 1485, Variance: 900},
-			{Event: "A", Mean: 1008, Variance: 400},
+			{Event: "TOTAL", Mean: 1485 + shift, Variance: 900},
+			{Event: "A", Mean: 1008 + shift, Variance: 400},
 			{Event: "B", Mean: 503, Variance: 625},
 		},
 		Constraints: []api.InferConstraint{{
@@ -157,8 +159,10 @@ func rawInfer() api.InferItem {
 // one load run covers the whole serving surface and the report's
 // per-endpoint latency split has something to split. Payloads are kept
 // modest: the mixed workload measures the endpoints' relative costs,
-// not their extremes. With trace, each shot opts into tracing. Shared
-// by -mixed, -trace, and -cluster.
+// not their extremes. Every shot's body is distinct: identical requests
+// in flight together would coalesce, and a coalesced follower's trace
+// records only its wait, not the work. With trace, each shot opts into
+// tracing. Shared by -mixed, -trace, and -cluster.
 func mixedShots(o options, trace bool) ([]shot, error) {
 	configs, err := parseMix(o.mix)
 	if err != nil {
@@ -187,7 +191,7 @@ func mixedShots(o options, trace bool) ([]shot, error) {
 			shots = append(shots, newShot("/plan", api.PlanRequest{
 				Measure: req, TargetRelWidth: 0.25, PilotRuns: 2, MaxRuns: 8, Trace: trace}))
 		case 3:
-			shots = append(shots, newShot("/infer", api.InferRequest{Items: []api.InferItem{rawInfer()}, Trace: trace}))
+			shots = append(shots, newShot("/infer", api.InferRequest{Items: []api.InferItem{rawInfer(float64(i / 4))}, Trace: trace}))
 		}
 	}
 	return shots, nil
@@ -305,7 +309,7 @@ func inferMode(o options) (*mode, error) {
 				}})
 			}
 		case 1:
-			item = rawInfer()
+			item = rawInfer(0)
 		case 2:
 			// Deliberately inconsistent: ITLB misses far above i-cache
 			// misses cannot happen on the simulated ISA, so the library's
@@ -458,6 +462,11 @@ func monitorMode(o options) (*mode, error) {
 	return m, nil
 }
 
+// campaignWave is how many campaigns pcload runs at once. pcserved
+// refuses campaigns over its limit (4 by default) with 503, so campaigns
+// go in waves of this many, an even number so pairs stay together.
+const campaignWave = 4
+
 // campaignMode opens adversarial counter-validation campaigns in
 // identical-configuration pairs and cross-checks that paired campaigns
 // streamed byte-identical events. Any finding fails the run: the stock
@@ -480,7 +489,11 @@ func campaignMode(o options) (*mode, error) {
 			Runs: 4, Scale: 2, InferEvery: 2, PlanEvery: 4,
 		}))
 	}
-	m := &mode{noun: "campaigns", waves: [][]shot{shots}, agree: "determinism: %d distinct configs, all paired streams identical"}
+	m := &mode{noun: "campaigns", agree: "determinism: %d distinct configs, all paired streams identical"}
+	for len(shots) > 0 {
+		n := min(campaignWave, len(shots))
+		m.waves, shots = append(m.waves, shots[:n]), shots[n:]
+	}
 	var swept, findings int
 	m.check = func(out *outcome) error {
 		var created api.CampaignCreated

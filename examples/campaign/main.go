@@ -66,11 +66,12 @@ func run(svc campaign.Services, cfg campaign.Config, req api.CampaignRequest, la
 	}
 	fmt.Printf("campaign %s against %s:\n", camp.ID, label)
 
-	camp.Subscribe()
-	defer camp.Unsubscribe()
+	events := camp.Log()
+	events.Subscribe()
+	defer events.Unsubscribe()
 	i := 0
 	for {
-		lines, next, wait, done := camp.Events(i)
+		lines, next, wait, done := events.Events(i)
 		i = next
 		for _, line := range lines {
 			var ev api.CampaignEvent

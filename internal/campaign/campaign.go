@@ -69,6 +69,75 @@ const (
 	coverageSigmas = 4.0
 )
 
+// Config sizes a registry.
+type Config struct {
+	// MaxCampaigns bounds *active* campaigns — sweeps still issuing
+	// requests into the shared worker pools. Zero means 4: campaigns are
+	// heavy (hundreds of measurements each), so the default is tighter
+	// than the session registry's.
+	MaxCampaigns int
+	// IdleTimeout is how long a campaign may go without client activity
+	// (snapshot, attached stream) before the janitor evicts it. Zero
+	// means 2 minutes.
+	IdleTimeout time.Duration
+	// SweepInterval is the janitor's cadence. Zero means 15 seconds;
+	// negative disables the janitor (tests drive Sweep directly).
+	SweepInterval time.Duration
+	// Concurrency is how many programs one campaign checks in parallel
+	// (results are still emitted in program order). Zero means 2.
+	Concurrency int
+	// Invariants supplies the constraint model the inference cross-check
+	// attacks each processor with; nil means the built-in library
+	// (bayes.Library). Tests inject mis-specified models to prove the
+	// campaign catches them — the planted-refutation hook.
+	Invariants func(*cpu.Model) bayes.Model
+	// Now is the registry's clock; nil means time.Now.
+	Now func() time.Time
+}
+
+// Registry owns the campaigns of one service instance: the shared
+// lifecycle registry plus the request paths campaigns attack. It is
+// safe for concurrent use.
+type Registry struct {
+	*evlog.Registry[*Campaign]
+	svc Services
+	cfg Config
+}
+
+// NewRegistry builds a registry over the given request paths and starts
+// the idle-campaign janitor (unless disabled).
+func NewRegistry(svc Services, cfg Config) *Registry {
+	if cfg.MaxCampaigns <= 0 {
+		cfg.MaxCampaigns = 4
+	}
+	if cfg.Concurrency <= 0 {
+		cfg.Concurrency = 2
+	}
+	if cfg.Invariants == nil {
+		cfg.Invariants = bayes.Library
+	}
+	return &Registry{
+		Registry: evlog.NewRegistry[*Campaign](evlog.RegistryConfig{
+			Pkg: "campaign", Noun: "campaign", MaxActive: cfg.MaxCampaigns,
+			IdleTimeout: cfg.IdleTimeout, SweepInterval: cfg.SweepInterval, Now: cfg.Now,
+		}),
+		svc: svc,
+		cfg: cfg,
+	}
+}
+
+// Open normalizes req, registers a campaign for it, and starts its
+// sweep. The returned campaign is already streaming.
+func (r *Registry) Open(req api.CampaignRequest) (*Campaign, error) {
+	norm, err := req.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	return r.Registry.Open(func(id string) (*Campaign, error) {
+		return newCampaign(id, norm, r.svc, r.cfg), nil
+	})
+}
+
 // Services are the request paths a campaign attacks. The campaign
 // depends only on these functions — the server front end wires them to
 // the service and planner — so campaign tests can interpose failures.
@@ -135,19 +204,25 @@ type progResult struct {
 	err      error
 }
 
-// run executes the sweep: workers process programs concurrently, the
+// Run executes the sweep: workers process programs concurrently, the
 // emitter streams each program's events strictly in index order, so the
 // stream is deterministic regardless of scheduling. Every result
 // channel is buffered and every index receives exactly one send, so
-// neither side can deadlock when the campaign is closed mid-sweep.
-func (c *Campaign) run() {
+// neither side can deadlock when the campaign is closed mid-sweep. Run
+// returns only after the feeder and every worker have: an early return
+// follows close, whose cancelled context stops them promptly.
+func (c *Campaign) Run() {
 	n := c.cfg.Programs
 	results := make([]chan progResult, n)
 	for i := range results {
 		results[i] = make(chan progResult, 1)
 	}
 	sem := make(chan struct{}, c.conc)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for i := 0; i < n; i++ {
 			select {
 			case <-c.ctx.Done():
@@ -155,7 +230,9 @@ func (c *Campaign) run() {
 				continue
 			case sem <- struct{}{}:
 			}
+			wg.Add(1)
 			go func(i int) {
+				defer wg.Done()
 				defer func() { <-sem }()
 				results[i] <- c.runProgram(i)
 			}(i)
@@ -476,6 +553,10 @@ func (c *Campaign) summary() api.CampaignSummary {
 	}
 }
 
+// End ends the campaign with the reason (deleted, evicted, drained) as
+// its end event; see close.
+func (c *Campaign) End(reason string) { c.close(reason, "") }
+
 // close ends the campaign with a final end event carrying the reason.
 // Idempotent: the first closer (sweep completion, delete, eviction,
 // drain, failure) wins — the log's End gate decides the race — and the
@@ -495,40 +576,12 @@ func (c *Campaign) close(state, failure string) {
 	}
 }
 
-// Events exposes the event log's replay-then-follow read; see
-// evlog.Log.Events.
-func (c *Campaign) Events(i int) (lines [][]byte, next int, wait <-chan struct{}, done bool) {
-	return c.log.Events(i)
-}
-
-// Subscribe registers an attached stream; subscribed campaigns are
-// never evicted as idle.
-func (c *Campaign) Subscribe() { c.log.Subscribe() }
-
-// Unsubscribe detaches a stream.
-func (c *Campaign) Unsubscribe() { c.log.Unsubscribe() }
-
-// idleSince returns how long the campaign has been without client
-// activity; zero while a stream is attached.
-func (c *Campaign) idleSince(now time.Time) time.Duration {
-	return c.log.IdleSince(now)
-}
+// Log is the campaign's event log, which snapshots and NDJSON streams
+// read from.
+func (c *Campaign) Log() *evlog.Log { return c.log }
 
 // Config returns the normalized campaign configuration.
 func (c *Campaign) Config() api.CampaignRequest { return c.cfg }
-
-// Ended reports whether the campaign has stopped producing.
-func (c *Campaign) Ended() bool { return c.log.Ended() }
-
-// lastAccessed returns the last client-activity time.
-func (c *Campaign) lastAccessed() time.Time { return c.log.LastAccess() }
-
-// State returns the current campaign state.
-func (c *Campaign) State() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
 
 // Snapshot reports the campaign's progress and retained findings.
 func (c *Campaign) Snapshot() api.CampaignSnapshot {

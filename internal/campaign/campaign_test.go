@@ -20,19 +20,17 @@ func newServices() Services {
 	return Services{Measure: svc.Measure, Infer: svc.Infer, Plan: plan.New(svc).Do}
 }
 
-// testConfig disables the janitor so tests control time.
-func testConfig() Config { return Config{SweepInterval: -1} }
-
 // collect replays and follows a campaign's stream until its end event,
 // returning every NDJSON line.
 func collect(t testing.TB, camp *Campaign) [][]byte {
 	t.Helper()
-	camp.Subscribe()
-	defer camp.Unsubscribe()
+	log := camp.Log()
+	log.Subscribe()
+	defer log.Unsubscribe()
 	deadline := time.After(5 * time.Minute)
 	var all [][]byte
 	for i := 0; ; {
-		lines, next, wait, done := camp.Events(i)
+		lines, next, wait, done := log.Events(i)
 		all = append(all, lines...)
 		i = next
 		if len(lines) > 0 {
@@ -81,7 +79,7 @@ func smallRequest() api.CampaignRequest {
 // campaign scale: over stock processor models, every adversarial check
 // passes — the sweep completes with zero findings.
 func TestCampaignStockClean(t *testing.T) {
-	reg := NewRegistry(newServices(), testConfig())
+	reg := NewRegistry(newServices(), Config{SweepInterval: -1})
 	defer reg.Close()
 	camp, err := reg.Open(smallRequest())
 	if err != nil {
@@ -113,7 +111,7 @@ func TestCampaignStockClean(t *testing.T) {
 	if last.Type != api.CampaignEventEnd || last.Reason != api.SessionDone {
 		t.Errorf("stream ends with %+v", last)
 	}
-	if st := camp.State(); st != api.SessionDone {
+	if st := camp.Snapshot().State; st != api.SessionDone {
 		t.Errorf("state = %s", st)
 	}
 }
@@ -152,7 +150,7 @@ func TestCampaignDeterminism(t *testing.T) {
 // produce invariant-refuted findings — and the same sweep against the
 // stock library runs clean (TestCampaignStockClean).
 func TestCampaignPlantedRefutation(t *testing.T) {
-	cfg := testConfig()
+	cfg := Config{SweepInterval: -1}
 	cfg.Invariants = func(m *cpu.Model) bayes.Model {
 		bad := *m
 		bad.RetireWidth = 1
@@ -240,101 +238,6 @@ func TestCampaignCoverageAudit(t *testing.T) {
 	}
 }
 
-// TestRegistryLimits: the active bound rejects extra campaigns, and
-// deletion ends a sweep early with a deleted end event.
-func TestRegistryLimits(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxCampaigns = 1
-	reg := NewRegistry(newServices(), cfg)
-	defer reg.Close()
-	req := api.CampaignRequest{Programs: 50, Runs: 4}
-	camp, err := reg.Open(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Open(req); err == nil {
-		t.Fatal("second campaign accepted over limit 1")
-	}
-	if _, err := reg.Open(api.CampaignRequest{Runs: 1}); err == nil {
-		t.Fatal("invalid request accepted")
-	}
-	if err := reg.Delete(camp.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Delete(camp.ID); err == nil {
-		t.Fatal("double delete succeeded")
-	}
-	lines := collect(t, camp)
-	var last api.CampaignEvent
-	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Type != api.CampaignEventEnd || last.Reason != api.SessionDeleted {
-		t.Errorf("deleted campaign ends with %+v", last)
-	}
-	if reg.Len() != 0 {
-		t.Errorf("registry retains %d campaigns after delete", reg.Len())
-	}
-}
-
-// TestRegistrySweepEvictsIdle: the janitor's rule, driven directly with
-// a fake clock — an idle finished campaign is evicted, an ended one
-// with an attached stream is not.
-func TestRegistrySweepEvictsIdle(t *testing.T) {
-	now := time.Unix(0, 0)
-	cfg := testConfig()
-	cfg.Now = func() time.Time { return now }
-	reg := NewRegistry(newServices(), cfg)
-	defer reg.Close()
-	camp, err := reg.Open(api.CampaignRequest{Programs: 1, Runs: 2, EngineEvery: -1, InferEvery: -1, PlanEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect(t, camp) // wait for completion (also touches the log at t=0)
-	if n := reg.Sweep(); n != 0 {
-		t.Fatalf("fresh campaign evicted (%d)", n)
-	}
-	camp.Subscribe()
-	now = now.Add(time.Hour)
-	if n := reg.Sweep(); n != 0 {
-		t.Fatalf("subscribed campaign evicted (%d)", n)
-	}
-	camp.Unsubscribe()
-	now = now.Add(time.Hour)
-	if n := reg.Sweep(); n != 1 {
-		t.Fatalf("idle campaign not evicted (%d)", n)
-	}
-	if _, err := reg.Get(camp.ID); err == nil {
-		t.Fatal("evicted campaign still addressable")
-	}
-}
-
-// TestRegistryCloseDrains: Close ends a running sweep with a drained
-// end event and refuses new campaigns.
-func TestRegistryCloseDrains(t *testing.T) {
-	reg := NewRegistry(newServices(), testConfig())
-	camp, err := reg.Open(api.CampaignRequest{Programs: MaxCampaignProgramsForTest, Runs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.Close()
-	lines := collect(t, camp)
-	var last api.CampaignEvent
-	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Type != api.CampaignEventEnd || last.Reason != api.SessionDrained {
-		t.Errorf("drained campaign ends with %+v", last)
-	}
-	if _, err := reg.Open(api.CampaignRequest{}); err == nil {
-		t.Fatal("closed registry accepted a campaign")
-	}
-}
-
-// MaxCampaignProgramsForTest sizes the drain test's sweep: long enough
-// that Close lands mid-sweep on any machine.
-const MaxCampaignProgramsForTest = 200
-
 // BenchmarkCampaignSweep measures one full default-cadence campaign
 // program (all processors, every check) end to end.
 func BenchmarkCampaignSweep(b *testing.B) {
@@ -352,20 +255,8 @@ func BenchmarkCampaignSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		camp.Subscribe()
-		for j := 0; ; {
-			lines, next, wait, done := camp.Events(j)
-			j = next
-			if len(lines) > 0 {
-				continue
-			}
-			if done {
-				break
-			}
-			<-wait
-		}
-		camp.Unsubscribe()
-		if st := camp.State(); st != api.SessionDone {
+		collect(b, camp)
+		if st := camp.Snapshot().State; st != api.SessionDone {
 			b.Fatalf("campaign ended %s", st)
 		}
 	}

@@ -1,6 +1,7 @@
 // Package evlog provides the bounded, append-only event log behind the
-// service's NDJSON streams: monitoring sessions and campaign runs both
-// publish through it.
+// service's NDJSON streams, and the lifecycle registry that owns its
+// producers: monitoring sessions and validation campaigns both publish
+// through a Log and live in a Registry.
 //
 // The log holds marshaled JSON lines in emission order and supports the
 // replay-then-follow contract: a reader attaching at any time first
@@ -9,6 +10,11 @@
 // Marshaling happens at append time with encoding/json over types whose
 // field order is fixed (no maps), so two logs fed identical events are
 // byte-identical on the wire — the determinism the stream tests assert.
+//
+// A Registry holds one kind of Item under one lifecycle contract: a
+// bounded number producing, bounded retention of ended items, idle
+// eviction, and a Close that drains every item and waits for every
+// producer.
 package evlog
 
 import (
@@ -39,8 +45,11 @@ type Log struct {
 }
 
 // New returns a log retaining about capacity lines. now supplies the
-// clock for idle accounting (time.Now in production, fake in tests).
+// clock for idle accounting (nil means time.Now; tests inject a fake).
 func New(capacity int, now func() time.Time) *Log {
+	if now == nil {
+		now = time.Now
+	}
 	return &Log{
 		now:        now,
 		cap:        capacity,

@@ -12,8 +12,9 @@
 // per virtual-time step, corrects each raw count with the cached
 // calibration, appends the sample to a windowed ring store
 // (internal/tsdb), and runs confidence-interval-overlap drift
-// detection over the window summaries. The Registry owns the sessions:
-// it creates them, evicts the idle, and drains them all on shutdown so
+// detection over the window summaries. The Registry owns the sessions
+// through the shared lifecycle registry (evlog.Registry): it bounds the
+// active ones, evicts the idle, and drains them all on shutdown so
 // attached streams end cleanly.
 //
 // Determinism carries over from the request path: a session's sample
@@ -26,32 +27,16 @@ package monitor
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/evlog"
 	"repro/internal/service"
 )
 
-// Errors reported by the registry.
-var (
-	// ErrTooManySessions reports that MaxSessions sessions already exist.
-	ErrTooManySessions = errors.New("monitor: too many sessions")
-	// ErrClosed reports an operation on a drained registry.
-	ErrClosed = errors.New("monitor: registry closed")
-	// ErrNotFound reports an unknown session ID.
-	ErrNotFound = errors.New("monitor: no such session")
-)
-
-// retainedPerActive scales MaxSessions into the bound on *finished*
-// sessions kept queryable for snapshots and stream replay: when the
-// map exceeds MaxSessions*retainedPerActive, the least recently
-// accessed ended session is dropped to make room. Active sessions are
-// never displaced (they number at most MaxSessions).
-const retainedPerActive = 4
+// pinTimeout bounds how long opening a session waits for a free worker.
+const pinTimeout = 10 * time.Second
 
 // Config sizes a registry.
 type Config struct {
@@ -68,78 +53,33 @@ type Config struct {
 	// SweepInterval is the janitor's cadence. Zero means 15 seconds;
 	// negative disables the janitor (tests drive Sweep directly).
 	SweepInterval time.Duration
-	// PinTimeout bounds how long opening a session may wait for a free
-	// worker. Zero means 10 seconds.
-	PinTimeout time.Duration
 	// Now is the registry's clock; nil means time.Now. Tests inject a
 	// fake clock to drive eviction deterministically.
 	Now func() time.Time
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 16
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = 15 * time.Second
-	}
-	if c.PinTimeout <= 0 {
-		c.PinTimeout = 10 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
-// Registry owns the monitoring sessions of one service instance. It is
+// Registry owns the monitoring sessions of one service instance: the
+// shared lifecycle registry plus the worker pools sessions pin. It is
 // safe for concurrent use.
 type Registry struct {
+	*evlog.Registry[*Session]
 	svc *service.Service
-	cfg Config
-
-	mu       sync.Mutex
-	sessions map[string]*Session
-	nextID   int
-	closed   bool
-
-	wg          sync.WaitGroup // sampler goroutines
-	janitorStop chan struct{}
-	janitorDone chan struct{}
+	now func() time.Time
 }
 
 // NewRegistry builds a registry over svc's worker pools and starts the
 // idle-session janitor (unless disabled).
 func NewRegistry(svc *service.Service, cfg Config) *Registry {
-	r := &Registry{
-		svc:      svc,
-		cfg:      cfg.withDefaults(),
-		sessions: make(map[string]*Session),
+	if cfg.MaxSessions <= 0 {
+		cfg.MaxSessions = 16
 	}
-	if r.cfg.SweepInterval > 0 {
-		r.janitorStop = make(chan struct{})
-		r.janitorDone = make(chan struct{})
-		go r.janitor()
-	}
-	return r
-}
-
-// janitor periodically evicts idle sessions until Close.
-func (r *Registry) janitor() {
-	defer close(r.janitorDone)
-	t := time.NewTicker(r.cfg.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			r.Sweep()
-		case <-r.janitorStop:
-			return
-		}
+	return &Registry{
+		Registry: evlog.NewRegistry[*Session](evlog.RegistryConfig{
+			Pkg: "monitor", Noun: "session", MaxActive: cfg.MaxSessions,
+			IdleTimeout: cfg.IdleTimeout, SweepInterval: cfg.SweepInterval, Now: cfg.Now,
+		}),
+		svc: svc,
+		now: cfg.Now,
 	}
 }
 
@@ -150,207 +90,26 @@ func (r *Registry) Open(ctx context.Context, req api.SessionRequest) (*Session, 
 	if err != nil {
 		return nil, err
 	}
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if r.activeLocked() >= r.cfg.MaxSessions {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w (limit %d)", ErrTooManySessions, r.cfg.MaxSessions)
-	}
-	r.nextID++
-	id := fmt.Sprintf("s%d", r.nextID)
-	r.mu.Unlock()
-
-	// Pinning can wait on pool pressure and calibration can compute;
-	// neither holds the registry lock, so other sessions are unaffected.
-	pinCtx, cancel := context.WithTimeout(ctx, r.cfg.PinTimeout)
-	defer cancel()
-	w, err := r.svc.Pin(pinCtx, norm.Measure)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: pinning worker: %w", err)
-	}
-	cal, err := w.Calibration(norm.Measure)
-	if err != nil {
-		w.Release()
-		return nil, err
-	}
-
-	sess, err := newSession(id, norm, cal, r.cfg.Now)
-	if err != nil {
-		w.Release()
-		return nil, err
-	}
-
-	r.mu.Lock()
-	if r.closed || r.activeLocked() >= r.cfg.MaxSessions {
-		closed := r.closed
-		r.mu.Unlock()
-		w.Release()
-		if closed {
-			return nil, ErrClosed
+	return r.Registry.Open(func(id string) (*Session, error) {
+		// Pinning can wait on pool pressure and calibration can compute;
+		// neither holds the registry lock, so other sessions are
+		// unaffected.
+		pinCtx, cancel := context.WithTimeout(ctx, pinTimeout)
+		defer cancel()
+		w, err := r.svc.Pin(pinCtx, norm.Measure)
+		if err != nil {
+			return nil, fmt.Errorf("monitor: pinning worker: %w", err)
 		}
-		return nil, fmt.Errorf("%w (limit %d)", ErrTooManySessions, r.cfg.MaxSessions)
-	}
-	r.evictOverflowLocked()
-	r.sessions[id] = sess
-	r.wg.Add(1)
-	r.mu.Unlock()
-
-	go func() {
-		defer r.wg.Done()
-		defer w.Release()
-		sess.run(w.System())
-	}()
-	return sess, nil
-}
-
-// activeLocked counts sessions still producing (and therefore still
-// pinning a worker). Callers hold r.mu.
-func (r *Registry) activeLocked() int {
-	n := 0
-	for _, sess := range r.sessions {
-		if !sess.Ended() {
-			n++
+		cal, err := w.Calibration(norm.Measure)
+		if err != nil {
+			w.Release()
+			return nil, err
 		}
-	}
-	return n
-}
-
-// evictOverflowLocked keeps the retained-session map bounded: when it
-// is full, the least recently accessed *ended* sessions are forgotten
-// to make room for one more. Callers hold r.mu.
-func (r *Registry) evictOverflowLocked() {
-	for len(r.sessions) >= r.cfg.MaxSessions*retainedPerActive {
-		oldestID := ""
-		var oldest time.Time
-		for id, sess := range r.sessions {
-			if !sess.Ended() {
-				continue
-			}
-			if at := sess.lastAccessed(); oldestID == "" || at.Before(oldest) {
-				oldestID, oldest = id, at
-			}
+		sess, err := newSession(id, norm, cal, w, r.now)
+		if err != nil {
+			w.Release()
+			return nil, err
 		}
-		if oldestID == "" {
-			return // all active; activeLocked bound keeps this impossible
-		}
-		delete(r.sessions, oldestID)
-	}
-}
-
-// Get returns a session by ID.
-func (r *Registry) Get(id string) (*Session, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sess, ok := r.sessions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return sess, nil
-}
-
-// Delete removes a session: sampling stops, attached streams receive
-// their remaining events plus an end event, and the ID is forgotten.
-func (r *Registry) Delete(id string) error {
-	r.mu.Lock()
-	sess, ok := r.sessions[id]
-	if ok {
-		delete(r.sessions, id)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	sess.close(api.SessionDeleted, "")
-	return nil
-}
-
-// Active returns how many sessions are currently producing (each
-// pinning a pool worker) — the number /healthz reports.
-func (r *Registry) Active() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.activeLocked()
-}
-
-// Len returns how many sessions are registered.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.sessions)
-}
-
-// Stats snapshots the registry's gauges under one lock acquisition:
-// Active is sessions still producing (each pinning a worker), Retained
-// is every registered session including ended ones kept for replay.
-// One snapshot feeds both /healthz and /metrics so the views agree.
-func (r *Registry) Stats() (active, retained int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.activeLocked(), len(r.sessions)
-}
-
-// IDs returns the registered session IDs in order.
-func (r *Registry) IDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Sweep evicts every session that has been idle (no snapshot and no
-// attached stream) longer than IdleTimeout, and returns how many it
-// evicted. The janitor calls this periodically; tests call it
-// directly with an injected clock.
-func (r *Registry) Sweep() int {
-	now := r.cfg.Now()
-	r.mu.Lock()
-	var evict []*Session
-	for id, sess := range r.sessions {
-		if sess.idleSince(now) > r.cfg.IdleTimeout {
-			evict = append(evict, sess)
-			delete(r.sessions, id)
-		}
-	}
-	r.mu.Unlock()
-	for _, sess := range evict {
-		sess.close(api.SessionEvicted, "")
-	}
-	return len(evict)
-}
-
-// Close drains the registry: the janitor stops, every session ends
-// with a drained end event (so attached streams terminate cleanly),
-// and Close blocks until every sampler goroutine has exited and
-// released its worker. Idempotent. Sessions stay readable afterwards —
-// snapshots and stream replays of already-produced events still work —
-// but no new session can be opened.
-func (r *Registry) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	sessions := make([]*Session, 0, len(r.sessions))
-	for _, sess := range r.sessions {
-		sessions = append(sessions, sess)
-	}
-	r.mu.Unlock()
-
-	if r.janitorStop != nil {
-		close(r.janitorStop)
-		<-r.janitorDone
-	}
-	for _, sess := range sessions {
-		sess.close(api.SessionDrained, "")
-	}
-	r.wg.Wait()
+		return sess, nil
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,35 +12,16 @@ import (
 	"repro/internal/service"
 )
 
-// fakeClock is an injectable clock for deterministic idle accounting.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
-
-// newTestRegistry builds a registry with a small service, a fake
-// clock, and the janitor disabled so tests drive Sweep directly.
-func newTestRegistry(t *testing.T, cfg Config) (*Registry, *fakeClock) {
+// newTestRegistry builds a registry with a small service and the
+// janitor disabled. The lifecycle itself (limits, retention, eviction,
+// delete, drain) is covered by the shared registry suite in
+// internal/evlog.
+func newTestRegistry(t *testing.T) *Registry {
 	t.Helper()
-	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	cfg.SweepInterval = -1
-	cfg.Now = clock.Now
-	reg := NewRegistry(svc, cfg)
+	reg := NewRegistry(svc, Config{SweepInterval: -1})
 	t.Cleanup(reg.Close)
-	return reg, clock
+	return reg
 }
 
 // session configuration used throughout: small but with several
@@ -59,12 +38,13 @@ func testConfig() api.SessionRequest {
 // end event's reason.
 func consume(t *testing.T, sess *Session) (lines [][]byte, reason string) {
 	t.Helper()
-	sess.Subscribe()
-	defer sess.Unsubscribe()
+	log := sess.Log()
+	log.Subscribe()
+	defer log.Unsubscribe()
 	i := 0
 	deadline := time.After(30 * time.Second)
 	for {
-		ls, next, wait, done := sess.Events(i)
+		ls, next, wait, done := log.Events(i)
 		i = next
 		if len(ls) > 0 {
 			lines = append(lines, ls...)
@@ -109,7 +89,7 @@ func filterType(t *testing.T, lines [][]byte, typ string) [][]byte {
 // criterion: two sessions with the same normalized configuration
 // produce byte-identical NDJSON sample series.
 func TestIdenticalSessionsStreamIdenticalSeries(t *testing.T) {
-	reg, _ := newTestRegistry(t, Config{})
+	reg := newTestRegistry(t)
 	a, err := reg.Open(context.Background(), testConfig())
 	if err != nil {
 		t.Fatalf("open a: %v", err)
@@ -128,20 +108,10 @@ func TestIdenticalSessionsStreamIdenticalSeries(t *testing.T) {
 	if len(samplesA) != 32 || len(samplesB) != 32 {
 		t.Fatalf("sample counts = %d, %d, want 32", len(samplesA), len(samplesB))
 	}
-	for i := range samplesA {
-		if !bytes.Equal(samplesA[i], samplesB[i]) {
-			t.Fatalf("sample %d diverges:\n  a: %s\n  b: %s", i, samplesA[i], samplesB[i])
-		}
-	}
-	// Window and drift events are deterministic too: the full logs
-	// must match byte for byte (both sessions ended the same way).
-	if len(linesA) != len(linesB) {
-		t.Fatalf("log lengths = %d, %d", len(linesA), len(linesB))
-	}
-	for i := range linesA {
-		if !bytes.Equal(linesA[i], linesB[i]) {
-			t.Fatalf("event %d diverges:\n  a: %s\n  b: %s", i, linesA[i], linesB[i])
-		}
+	// Samples, windows and drift events are all deterministic: the full
+	// logs must match byte for byte (both sessions ended the same way).
+	if a, b := bytes.Join(linesA, nil), bytes.Join(linesB, nil); !bytes.Equal(a, b) {
+		t.Fatalf("logs diverge:\n  a: %s\n  b: %s", a, b)
 	}
 }
 
@@ -152,7 +122,7 @@ func TestInjectedStepChangeFlagsDrift(t *testing.T) {
 	cfg := testConfig()
 	cfg.Steps = 48
 	cfg.Inject = &api.InjectSpec{AfterStep: injectStep, Offset: 1_000_000}
-	reg, _ := newTestRegistry(t, Config{})
+	reg := newTestRegistry(t)
 	sess, err := reg.Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -194,7 +164,7 @@ func TestInjectedStepChangeFlagsDrift(t *testing.T) {
 func TestStableSeriesFlagsNoDrift(t *testing.T) {
 	cfg := testConfig()
 	cfg.Steps = 64
-	reg, _ := newTestRegistry(t, Config{})
+	reg := newTestRegistry(t)
 	sess, err := reg.Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -202,186 +172,6 @@ func TestStableSeriesFlagsNoDrift(t *testing.T) {
 	lines, _ := consume(t, sess)
 	if drifts := filterType(t, lines, api.StreamDrift); len(drifts) != 0 {
 		t.Errorf("stable series fired %d drift events: %s", len(drifts), drifts[0])
-	}
-}
-
-func TestIdleEviction(t *testing.T) {
-	reg, clock := newTestRegistry(t, Config{IdleTimeout: time.Minute})
-	sess, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	consume(t, sess) // session runs to completion and is now idle
-
-	if n := reg.Sweep(); n != 0 {
-		t.Fatalf("fresh session evicted (%d)", n)
-	}
-	clock.Advance(2 * time.Minute)
-	if n := reg.Sweep(); n != 1 {
-		t.Fatalf("Sweep evicted %d sessions, want 1", n)
-	}
-	if _, err := reg.Get(sess.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after eviction: %v, want ErrNotFound", err)
-	}
-	if reg.Len() != 0 {
-		t.Errorf("registry still holds %d sessions", reg.Len())
-	}
-}
-
-func TestAttachedStreamPreventsEviction(t *testing.T) {
-	reg, clock := newTestRegistry(t, Config{IdleTimeout: time.Minute})
-	sess, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	sess.Subscribe()
-	defer sess.Unsubscribe()
-	clock.Advance(time.Hour)
-	if n := reg.Sweep(); n != 0 {
-		t.Errorf("Sweep evicted %d subscribed sessions, want 0", n)
-	}
-}
-
-// TestDeleteWithAttachedStream deletes a still-producing session while
-// a stream is attached: the stream must end cleanly with a deleted
-// end event, and the sampler goroutine must exit.
-func TestDeleteWithAttachedStream(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cfg := testConfig()
-	cfg.Steps = 10_000
-	cfg.IntervalMS = 5 // paced: still producing when we delete
-	reg, _ := newTestRegistry(t, Config{})
-	sess, err := reg.Open(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-
-	type result struct {
-		reason  string
-		samples int
-	}
-	got := make(chan result, 1)
-	go func() {
-		lines, reason := consume(t, sess)
-		got <- result{reason, len(filterType(t, lines, api.StreamSample))}
-	}()
-
-	// Let a few samples through, then delete mid-stream.
-	waitFor(t, func() bool { return sess.Snapshot().Total >= 3 })
-	if err := reg.Delete(sess.ID); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	res := <-got
-	if res.reason != api.SessionDeleted {
-		t.Errorf("stream end reason = %q, want deleted", res.reason)
-	}
-	if res.samples == 0 || res.samples >= cfg.Steps {
-		t.Errorf("stream delivered %d samples, want a partial series", res.samples)
-	}
-	if err := reg.Delete(sess.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("second delete: %v, want ErrNotFound", err)
-	}
-	assertNoGoroutineLeak(t, before)
-}
-
-// TestDrainClosesStreams shuts the registry down under open streams:
-// every stream ends with a drained end event and no goroutine leaks.
-func TestDrainClosesStreams(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cfg := testConfig()
-	cfg.Steps = 10_000
-	cfg.IntervalMS = 5
-	reg, _ := newTestRegistry(t, Config{})
-
-	var sessions []*Session
-	for i := 0; i < 2; i++ {
-		sess, err := reg.Open(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("open %d: %v", i, err)
-		}
-		sessions = append(sessions, sess)
-	}
-	reasons := make(chan string, len(sessions))
-	for _, sess := range sessions {
-		go func(sess *Session) {
-			_, reason := consume(t, sess)
-			reasons <- reason
-		}(sess)
-	}
-	waitFor(t, func() bool {
-		for _, sess := range sessions {
-			if sess.Snapshot().Total < 2 {
-				return false
-			}
-		}
-		return true
-	})
-
-	reg.Close()
-	for range sessions {
-		if reason := <-reasons; reason != api.SessionDrained {
-			t.Errorf("stream end reason = %q, want drained", reason)
-		}
-	}
-	// Close is idempotent and the registry rejects new sessions.
-	reg.Close()
-	if _, err := reg.Open(context.Background(), testConfig()); !errors.Is(err, ErrClosed) {
-		t.Errorf("Open after Close: %v, want ErrClosed", err)
-	}
-	assertNoGoroutineLeak(t, before)
-}
-
-func TestSessionLimit(t *testing.T) {
-	cfg := testConfig()
-	cfg.Steps = 10_000
-	cfg.IntervalMS = 5
-	reg, _ := newTestRegistry(t, Config{MaxSessions: 1})
-	if _, err := reg.Open(context.Background(), cfg); err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if _, err := reg.Open(context.Background(), cfg); !errors.Is(err, ErrTooManySessions) {
-		t.Errorf("second open: %v, want ErrTooManySessions", err)
-	}
-}
-
-// TestFinishedSessionsDoNotCountAgainstLimit: the limit bounds pinned
-// workers, so a completed (but still queryable) session must not
-// block new ones.
-func TestFinishedSessionsDoNotCountAgainstLimit(t *testing.T) {
-	reg, _ := newTestRegistry(t, Config{MaxSessions: 1})
-	first, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	consume(t, first) // runs to completion; worker released
-	second, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open after first finished: %v", err)
-	}
-	consume(t, second)
-	// Both stay queryable: finished sessions are retained, not leaked
-	// into the active budget.
-	if reg.Len() != 2 {
-		t.Errorf("registry holds %d sessions, want 2", reg.Len())
-	}
-}
-
-// TestRetainedSessionsStayBounded floods the registry with short
-// sessions: the map must stay below the retention cap by displacing
-// the least recently accessed finished sessions.
-func TestRetainedSessionsStayBounded(t *testing.T) {
-	reg, _ := newTestRegistry(t, Config{MaxSessions: 2})
-	cfg := testConfig()
-	cfg.Steps = 4 // quick
-	for i := 0; i < 3*retainedPerActive; i++ {
-		sess, err := reg.Open(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("open %d: %v", i, err)
-		}
-		consume(t, sess)
-	}
-	if cap := 2 * retainedPerActive; reg.Len() > cap {
-		t.Errorf("registry retains %d sessions, want <= %d", reg.Len(), cap)
 	}
 }
 
@@ -393,14 +183,14 @@ func TestLateAttachReplaysRetainedTail(t *testing.T) {
 	cfg.Steps = 64
 	cfg.Capacity = 16 // logCap 2*16+16 = 48 < ~73 emitted lines
 	cfg.WindowSize = 8
-	reg, _ := newTestRegistry(t, Config{})
+	reg := newTestRegistry(t)
 	sess, err := reg.Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	// Attach only after the session finished, so the retention window
-	// has certainly slid past the early lines.
-	waitFor(t, func() bool { return sess.State() == api.SessionDone })
+	// Attach again only after the session finished, so the retention
+	// window has certainly slid past the early lines.
+	consume(t, sess)
 	lines, reason := consume(t, sess)
 	if reason != api.SessionDone {
 		t.Fatalf("end reason = %q", reason)
@@ -426,41 +216,10 @@ func TestLateAttachReplaysRetainedTail(t *testing.T) {
 }
 
 func TestOpenValidatesRequest(t *testing.T) {
-	reg, _ := newTestRegistry(t, Config{})
+	reg := newTestRegistry(t)
 	bad := testConfig()
 	bad.WindowSize = 1
 	if _, err := reg.Open(context.Background(), bad); !errors.Is(err, api.ErrBadRequest) {
 		t.Errorf("Open(bad) = %v, want ErrBadRequest", err)
 	}
-}
-
-// waitFor polls cond until true or the deadline passes.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("condition not reached before deadline")
-}
-
-// assertNoGoroutineLeak polls until the goroutine count returns to the
-// baseline (allowing runtime helpers), failing with stacks otherwise.
-func assertNoGoroutineLeak(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	var n int
-	for time.Now().Before(deadline) {
-		n = runtime.NumGoroutine()
-		if n <= before {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	t.Errorf("goroutine leak: %d before, %d after\n%s", before, n, buf)
 }

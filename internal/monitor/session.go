@@ -7,7 +7,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/evlog"
-	stackpkg "repro/internal/stack"
+	"repro/internal/service"
 	"repro/internal/tsdb"
 )
 
@@ -31,6 +31,7 @@ type Session struct {
 	cfg  api.SessionRequest
 	cal  core.Calibration
 	creq core.Request
+	pin  *service.PinnedWorker // held until the sampler returns
 
 	// stop ends the sampler early (delete, eviction, drain).
 	stop     chan struct{}
@@ -51,7 +52,7 @@ type Session struct {
 }
 
 // newSession builds a registered-but-not-yet-running session.
-func newSession(id string, cfg api.SessionRequest, cal core.Calibration, now func() time.Time) (*Session, error) {
+func newSession(id string, cfg api.SessionRequest, cal core.Calibration, pin *service.PinnedWorker, now func() time.Time) (*Session, error) {
 	store, err := tsdb.New(tsdb.Config{
 		Capacity:   cfg.Capacity,
 		WindowSize: cfg.WindowSize,
@@ -69,6 +70,7 @@ func newSession(id string, cfg api.SessionRequest, cal core.Calibration, now fun
 		cfg:   cfg,
 		cal:   cal,
 		creq:  creq,
+		pin:   pin,
 		stop:  make(chan struct{}),
 		store: store,
 		state: api.SessionRunning,
@@ -80,11 +82,15 @@ func newSession(id string, cfg api.SessionRequest, cal core.Calibration, now fun
 	}, nil
 }
 
-// run is the sampler: one measurement per step on the pinned system,
-// paced by IntervalMS wall time but timestamped in virtual time. The
-// system is Reset once up front — the same discipline as the request
-// path — so the sample series is a pure function of the configuration.
-func (s *Session) run(sys *stackpkg.System) {
+// Run is the sampler: one measurement per step on the pinned system,
+// paced by IntervalMS wall time but timestamped in virtual time, until
+// the steps run out or the session ends. The system is Reset once up
+// front — the same discipline as the request path — so the sample
+// series is a pure function of the configuration. Run releases the
+// pinned worker when it returns.
+func (s *Session) Run() {
+	defer s.pin.Release()
+	sys := s.pin.System()
 	sys.Reset()
 	var vt float64
 	interval := time.Duration(s.cfg.IntervalMS) * time.Millisecond
@@ -183,6 +189,10 @@ func overlap(a, b tsdb.Window) bool {
 		b.Est.CI.Lo-quantizationSlack <= a.Est.CI.Hi+quantizationSlack
 }
 
+// End ends the session with the reason (deleted, evicted, drained) as
+// its end event; see close.
+func (s *Session) End(reason string) { s.close(reason, "") }
+
 // close ends the session with a final end event carrying the reason.
 // Idempotent: the first closer (sampler completion, delete, eviction,
 // drain, failure) wins — the log's End gate decides the race — and
@@ -202,44 +212,12 @@ func (s *Session) close(state, failure string) {
 	}
 }
 
-// Events exposes the event log's replay-then-follow read; see
-// evlog.Log.Events.
-func (s *Session) Events(i int) (lines [][]byte, next int, wait <-chan struct{}, done bool) {
-	return s.log.Events(i)
-}
-
-// Subscribe registers an attached stream; subscribed sessions are
-// never evicted as idle.
-func (s *Session) Subscribe() { s.log.Subscribe() }
-
-// Unsubscribe detaches a stream.
-func (s *Session) Unsubscribe() { s.log.Unsubscribe() }
-
-// idleSince returns how long the session has been without client
-// activity. A session with an attached stream is never idle; a
-// session nobody watches is idle from its last access even while its
-// sampler still produces — eviction is what reclaims the pinned
-// worker of an abandoned session.
-func (s *Session) idleSince(now time.Time) time.Duration {
-	return s.log.IdleSince(now)
-}
+// Log is the session's event log, which snapshots and NDJSON streams
+// read from.
+func (s *Session) Log() *evlog.Log { return s.log }
 
 // Config returns the normalized session configuration.
 func (s *Session) Config() api.SessionRequest { return s.cfg }
-
-// Ended reports whether the session has stopped producing (its end
-// event is written and its worker released or releasing).
-func (s *Session) Ended() bool { return s.log.Ended() }
-
-// lastAccessed returns the last client-activity time.
-func (s *Session) lastAccessed() time.Time { return s.log.LastAccess() }
-
-// State returns the current session state.
-func (s *Session) State() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
 
 // Snapshot reports the session's current state and retained rings.
 func (s *Session) Snapshot() api.SessionSnapshot {

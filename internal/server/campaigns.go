@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 
 	"repro/internal/api"
@@ -16,7 +15,7 @@ import (
 //	GET    /campaigns/{id}/stream -> NDJSON api.CampaignEvent lines
 //	DELETE /campaigns/{id}        -> 204
 func registerCampaignRoutes(mux router, creg *campaign.Registry) {
-	mux.HandleFunc("POST /campaigns", handleJSON(campaignStatusFor, http.StatusCreated,
+	mux.HandleFunc("POST /campaigns", handleJSON(http.StatusCreated,
 		func(r *http.Request, req api.CampaignRequest) (api.CampaignCreated, error) {
 			camp, err := creg.Open(req)
 			if err != nil {
@@ -24,46 +23,5 @@ func registerCampaignRoutes(mux router, creg *campaign.Registry) {
 			}
 			return api.CampaignCreated{ID: camp.ID, Config: camp.Config()}, nil
 		}))
-
-	mux.HandleFunc("GET /campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
-		camp, err := creg.Get(r.PathValue("id"))
-		if err != nil {
-			writeError(w, campaignStatusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, camp.Snapshot())
-	})
-
-	mux.HandleFunc("GET /campaigns/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		camp, err := creg.Get(r.PathValue("id"))
-		if err != nil {
-			writeError(w, campaignStatusFor(err), err)
-			return
-		}
-		streamEvents(w, r, camp)
-	})
-
-	mux.HandleFunc("DELETE /campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if err := creg.Delete(r.PathValue("id")); err != nil {
-			writeError(w, campaignStatusFor(err), err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-}
-
-// campaignStatusFor maps campaign-registry errors to HTTP statuses,
-// mirroring the session policy: bad requests are the client's fault,
-// unknown IDs are 404, capacity and shutdown are 503.
-func campaignStatusFor(err error) int {
-	switch {
-	case errors.Is(err, api.ErrBadRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, campaign.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, campaign.ErrTooManyCampaigns),
-		errors.Is(err, campaign.ErrClosed):
-		return http.StatusServiceUnavailable
-	}
-	return statusFor(err)
+	registerItemRoutes(mux, "/campaigns", creg.Registry, (*campaign.Campaign).Snapshot)
 }

@@ -1,10 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -24,40 +23,10 @@ func campaignRequest() api.CampaignRequest {
 	}
 }
 
-// readCampaignStream consumes a campaign's NDJSON stream to its end event and
-// returns the raw body and the decoded events.
-func readCampaignStream(t *testing.T, url string) (string, []api.CampaignEvent) {
+// openCampaign creates a campaign and returns its creation response.
+func openCampaign(t *testing.T, base string) api.CampaignCreated {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content type = %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading stream: %v", err)
-	}
-	var events []api.CampaignEvent
-	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
-		var ev api.CampaignEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", line, err)
-		}
-		events = append(events, ev)
-	}
-	return string(body), events
-}
-
-func TestCampaignEndpoints(t *testing.T) {
-	srv := newTestServer(t)
-
-	status, body := post(t, srv.URL+"/campaigns", campaignRequest())
+	status, body := post(t, base+"/campaigns", campaignRequest())
 	if status != http.StatusCreated {
 		t.Fatalf("open campaign: status %d body %s", status, body)
 	}
@@ -65,15 +34,26 @@ func TestCampaignEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &created); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
+	return created
+}
+
+func TestCampaignEndpoints(t *testing.T) {
+	srv := newTestServer(t)
+	created := openCampaign(t, srv.URL)
 	if created.ID == "" || created.Config.Programs != 3 || created.Config.Confidence != 0.95 {
 		t.Fatalf("created = %+v", created)
 	}
 
 	// The stream runs to completion: program events, a summary, a done
 	// end event — and zero findings against stock models.
-	raw, events := readCampaignStream(t, srv.URL+"/campaigns/"+created.ID+"/stream")
+	lines := readStream(t, srv.URL+"/campaigns/"+created.ID+"/stream")
 	programs := 0
-	for _, ev := range events {
+	var ev api.CampaignEvent
+	for _, line := range lines {
+		ev = api.CampaignEvent{}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", line, err)
+		}
 		switch ev.Type {
 		case api.CampaignEventFinding:
 			t.Errorf("finding against stock models: %+v", *ev.Finding)
@@ -84,43 +64,34 @@ func TestCampaignEndpoints(t *testing.T) {
 	if programs != 3 {
 		t.Errorf("stream has %d program events, want 3", programs)
 	}
-	if last := events[len(events)-1]; last.Type != api.CampaignEventEnd || last.Reason != "done" {
-		t.Errorf("stream ends with %+v", last)
+	if ev.Type != api.CampaignEventEnd || ev.Reason != "done" {
+		t.Errorf("stream ends with %+v", ev)
 	}
+	wantGauges(t, srv.URL, "campaigns", 0, 1)
 
 	// Replay determinism over HTTP: a late attach receives the complete
 	// byte-identical stream.
-	raw2, _ := readCampaignStream(t, srv.URL+"/campaigns/"+created.ID+"/stream")
-	if raw != raw2 {
+	replay := readStream(t, srv.URL+"/campaigns/"+created.ID+"/stream")
+	if !bytes.Equal(bytes.Join(lines, nil), bytes.Join(replay, nil)) {
 		t.Error("stream replay differs from the live stream")
 	}
 
 	// The snapshot agrees with the stream.
-	resp, err := http.Get(srv.URL + "/campaigns/" + created.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	status, body := do(t, http.MethodGet, srv.URL+"/campaigns/"+created.ID)
 	var snap api.CampaignSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal([]byte(body), &snap); err != nil || status != http.StatusOK {
+		t.Fatalf("snapshot: status %d, %v", status, err)
 	}
 	if snap.State != "done" || snap.Programs != 3 || snap.FindingsTotal != 0 {
 		t.Errorf("snapshot = %+v", snap)
 	}
 
 	// Delete forgets the ID.
-	del, err := http.NewRequest(http.MethodDelete, srv.URL+"/campaigns/"+created.ID, nil)
-	if err != nil {
-		t.Fatal(err)
+	if status, _ := do(t, http.MethodDelete, srv.URL+"/campaigns/"+created.ID); status != http.StatusNoContent {
+		t.Fatalf("delete: status %d, want 204", status)
 	}
-	dresp, err := http.DefaultClient.Do(del)
-	if err != nil || dresp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete: %v, status %v", err, dresp.Status)
-	}
-	if resp, err := http.Get(srv.URL + "/campaigns/" + created.ID); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("deleted campaign still addressable: %v %v", err, resp.Status)
-	}
+	wantUnknown(t, srv.URL+"/campaigns/"+created.ID, `{"error":"campaign: no such campaign: `+created.ID+`"}`+"\n")
+	wantGauges(t, srv.URL, "campaigns", 0, 0)
 }
 
 func TestCampaignEndpointRejects(t *testing.T) {
@@ -128,32 +99,18 @@ func TestCampaignEndpointRejects(t *testing.T) {
 	if status, body := post(t, srv.URL+"/campaigns", api.CampaignRequest{Runs: 1}); status != http.StatusBadRequest {
 		t.Errorf("invalid campaign: status %d body %s", status, body)
 	}
-	if resp, err := http.Get(srv.URL + "/campaigns/c99"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown campaign: %v %v", err, resp.Status)
-	}
+	wantUnknown(t, srv.URL+"/campaigns/c99", `{"error":"campaign: no such campaign: c99"}`+"\n")
 }
 
 // TestHealthzCampaignOverlay: a completed campaign leaves the active
 // count at zero; the field is present in the health shape.
 func TestHealthzCampaignOverlay(t *testing.T) {
 	srv := newTestServer(t)
-	status, body := post(t, srv.URL+"/campaigns", campaignRequest())
-	if status != http.StatusCreated {
-		t.Fatalf("open campaign: status %d body %s", status, body)
-	}
-	var created api.CampaignCreated
-	if err := json.Unmarshal(body, &created); err != nil {
-		t.Fatal(err)
-	}
-	readCampaignStream(t, srv.URL+"/campaigns/"+created.ID+"/stream") // wait for completion
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	created := openCampaign(t, srv.URL)
+	readStream(t, srv.URL+"/campaigns/"+created.ID+"/stream") // wait for completion
 	var h api.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
+	if _, body := do(t, http.MethodGet, srv.URL+"/healthz"); json.Unmarshal([]byte(body), &h) != nil {
+		t.Fatalf("decode healthz: %s", body)
 	}
 	if h.ActiveCampaigns != 0 {
 		t.Errorf("active campaigns = %d, want 0", h.ActiveCampaigns)

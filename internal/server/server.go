@@ -26,6 +26,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/evlog"
 	"repro/internal/monitor"
 	"repro/internal/plan"
 	"repro/internal/service"
@@ -156,23 +157,23 @@ func newHandler(svc *service.Service, reg *monitor.Registry, creg *campaign.Regi
 	ir := instrumentedRouter{mux: mux, ts: ts}
 	registerSessionRoutes(ir, reg)
 	registerCampaignRoutes(ir, creg)
-	ir.HandleFunc("POST /measure", handleJSON(statusFor, http.StatusOK,
+	ir.HandleFunc("POST /measure", handleJSON(http.StatusOK,
 		func(r *http.Request, req api.MeasureRequest) (*api.MeasureResponse, error) {
 			return svc.Measure(r.Context(), req)
 		}))
-	ir.HandleFunc("POST /analyze", handleJSON(statusFor, http.StatusOK,
+	ir.HandleFunc("POST /analyze", handleJSON(http.StatusOK,
 		func(r *http.Request, req api.AnalyzeRequest) (*api.AnalyzeResponse, error) {
 			return svc.Analyze(r.Context(), req)
 		}))
-	ir.HandleFunc("POST /plan", handleJSON(statusFor, http.StatusOK,
+	ir.HandleFunc("POST /plan", handleJSON(http.StatusOK,
 		func(r *http.Request, req api.PlanRequest) (*api.PlanResponse, error) {
 			return planner.Do(r.Context(), req)
 		}))
-	ir.HandleFunc("POST /infer", handleJSON(statusFor, http.StatusOK,
+	ir.HandleFunc("POST /infer", handleJSON(http.StatusOK,
 		func(r *http.Request, req api.InferRequest) (*api.InferResponse, error) {
 			return svc.Infer(r.Context(), req)
 		}))
-	ir.HandleFunc("POST /experiment", handleJSON(statusFor, http.StatusOK,
+	ir.HandleFunc("POST /experiment", handleJSON(http.StatusOK,
 		func(r *http.Request, req api.ExperimentRequest) (*api.ExperimentResponse, error) {
 			return svc.Experiment(r.Context(), req)
 		}))
@@ -202,10 +203,10 @@ func newHandler(svc *service.Service, reg *monitor.Registry, creg *campaign.Regi
 
 // handleJSON is the one shape every JSON endpoint shares: decode the
 // body (a malformed body is always the client's fault), run the
-// handler, map its error to a status with the given policy, and write
+// handler, map its error to a status with statusFor, and write
 // either the api.Error body or the response at the success code. One
 // helper means every endpoint emits the same error shape.
-func handleJSON[Req, Resp any](status func(error) int, code int, do func(*http.Request, Req) (Resp, error)) http.HandlerFunc {
+func handleJSON[Req, Resp any](code int, do func(*http.Request, Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := telemetry.FromContext(r.Context())
 		pstart := tr.Clock()
@@ -217,7 +218,7 @@ func handleJSON[Req, Resp any](status func(error) int, code int, do func(*http.R
 		tr.AddSince(telemetry.SpanParse, pstart)
 		resp, err := do(r, req)
 		if err != nil {
-			writeError(w, status(err), err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		// The encode span cannot appear in the response it times — the
@@ -229,8 +230,10 @@ func handleJSON[Req, Resp any](status func(error) int, code int, do func(*http.R
 	}
 }
 
-// statusFor maps service errors to HTTP statuses: invalid requests are
-// the client's fault, everything else the server's.
+// statusFor maps service and registry errors to HTTP statuses: invalid
+// requests are the client's fault, unknown session and campaign IDs are
+// 404, capacity, shutdown and cancellation are 503 (retryable elsewhere
+// or later), and everything else is the server's fault.
 func statusFor(err error) int {
 	var unsupported *core.ErrUnsupportedPattern
 	switch {
@@ -238,7 +241,10 @@ func statusFor(err error) int {
 		errors.As(err, &unsupported),
 		errors.Is(err, service.ErrUnknownExperiment):
 		return http.StatusBadRequest
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, evlog.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, evlog.ErrFull), errors.Is(err, evlog.ErrClosed),
+		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError

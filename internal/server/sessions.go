@@ -1,11 +1,11 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/evlog"
 	"repro/internal/monitor"
 )
 
@@ -16,7 +16,7 @@ import (
 //	GET    /sessions/{id}/stream -> NDJSON api.StreamEvent lines
 //	DELETE /sessions/{id}        -> 204
 func registerSessionRoutes(mux router, reg *monitor.Registry) {
-	mux.HandleFunc("POST /sessions", handleJSON(sessionStatusFor, http.StatusCreated,
+	mux.HandleFunc("POST /sessions", handleJSON(http.StatusCreated,
 		func(r *http.Request, req api.SessionRequest) (api.SessionCreated, error) {
 			sess, err := reg.Open(r.Context(), req)
 			if err != nil {
@@ -24,41 +24,41 @@ func registerSessionRoutes(mux router, reg *monitor.Registry) {
 			}
 			return api.SessionCreated{ID: sess.ID, Config: sess.Config()}, nil
 		}))
+	registerItemRoutes(mux, "/sessions", reg.Registry, (*monitor.Session).Snapshot)
+}
 
-	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		sess, err := reg.Get(r.PathValue("id"))
+// registerItemRoutes wires the routes every registry resource shares
+// under base:
+//
+//	GET    {base}/{id}        -> the item's snapshot
+//	GET    {base}/{id}/stream -> its event log as NDJSON lines
+//	DELETE {base}/{id}        -> 204
+func registerItemRoutes[T evlog.Item, S any](mux router, base string, reg *evlog.Registry[T], snapshot func(T) S) {
+	mux.HandleFunc("GET "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
+		item, err := reg.Get(r.PathValue("id"))
 		if err != nil {
-			writeError(w, sessionStatusFor(err), err)
+			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sess.Snapshot())
+		writeJSON(w, http.StatusOK, snapshot(item))
 	})
 
-	mux.HandleFunc("GET /sessions/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		sess, err := reg.Get(r.PathValue("id"))
+	mux.HandleFunc("GET "+base+"/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		item, err := reg.Get(r.PathValue("id"))
 		if err != nil {
-			writeError(w, sessionStatusFor(err), err)
+			writeError(w, statusFor(err), err)
 			return
 		}
-		streamEvents(w, r, sess)
+		streamEvents(w, r, item.Log())
 	})
 
-	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := reg.Delete(r.PathValue("id")); err != nil {
-			writeError(w, sessionStatusFor(err), err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-}
-
-// eventSource is the replay-then-follow log surface monitoring
-// sessions and validation campaigns share (both delegate to
-// internal/evlog); streamEvents serves any of them.
-type eventSource interface {
-	Events(i int) (lines [][]byte, next int, wait <-chan struct{}, done bool)
-	Subscribe()
-	Unsubscribe()
 }
 
 // streamEvents writes an event log as NDJSON, replaying everything
@@ -68,7 +68,7 @@ type eventSource interface {
 // design is what makes the stream independent of attach timing: a
 // client that connects late still receives the complete, byte-identical
 // series.
-func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
+func streamEvents(w http.ResponseWriter, r *http.Request, log *evlog.Log) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	// The server's ReadTimeout governs reading the *request* and does
@@ -80,12 +80,12 @@ func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
 	w.WriteHeader(http.StatusOK)
 	flusher, canFlush := w.(http.Flusher)
 
-	src.Subscribe()
-	defer src.Unsubscribe()
+	log.Subscribe()
+	defer log.Unsubscribe()
 
 	i := 0
 	for {
-		lines, next, wait, done := src.Events(i)
+		lines, next, wait, done := log.Events(i)
 		i = next
 		if len(lines) > 0 {
 			for _, line := range lines {
@@ -106,20 +106,4 @@ func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
 			return
 		}
 	}
-}
-
-// sessionStatusFor maps registry errors to HTTP statuses: bad requests
-// are the client's fault, unknown IDs are 404, and capacity or
-// shutdown conditions are 503 (retryable elsewhere or later).
-func sessionStatusFor(err error) int {
-	switch {
-	case errors.Is(err, api.ErrBadRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, monitor.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, monitor.ErrTooManySessions),
-		errors.Is(err, monitor.ErrClosed):
-		return http.StatusServiceUnavailable
-	}
-	return statusFor(err)
 }

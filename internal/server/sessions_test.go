@@ -1,14 +1,18 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/campaign"
+	"repro/internal/monitor"
 )
 
 func sessionBody() api.SessionRequest {
@@ -36,11 +40,11 @@ func openSession(t *testing.T, base string, req api.SessionRequest) string {
 	return created.ID
 }
 
-// readStream consumes a session's NDJSON stream to its end event and
-// returns every line.
-func readStream(t *testing.T, base, id string) [][]byte {
+// readStream consumes a session or campaign NDJSON stream to its end
+// event and returns every line.
+func readStream(t *testing.T, url string) [][]byte {
 	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/sessions/%s/stream", base, id))
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatalf("GET stream: %v", err)
 	}
@@ -51,19 +55,53 @@ func readStream(t *testing.T, base, id string) [][]byte {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("stream content type = %q", ct)
 	}
-	var lines [][]byte
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("reading stream: %q, %v", body, err)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scanning stream: %v", err)
+	return bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+}
+
+// do sends a bodiless request and returns the status and body.
+func do(t *testing.T, method, url string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(lines) == 0 {
-		t.Fatal("empty stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
-	return lines
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// wantUnknown checks that GET, stream and DELETE of an unknown ID all
+// answer 404 with the registry's exact error body.
+func wantUnknown(t *testing.T, url, body string) {
+	t.Helper()
+	for _, req := range [][2]string{{http.MethodGet, url}, {http.MethodGet, url + "/stream"}, {http.MethodDelete, url}} {
+		if status, got := do(t, req[0], req[1]); status != http.StatusNotFound || got != body {
+			t.Errorf("%s %s = %d %q, want 404 %q", req[0], req[1], status, got, body)
+		}
+	}
+}
+
+// wantGauges checks the active and retained gauges /metrics exports
+// for resource ("sessions" or "campaigns").
+func wantGauges(t *testing.T, base, resource string, active, retained int) {
+	t.Helper()
+	_, text := do(t, http.MethodGet, base+"/metrics")
+	for name, want := range map[string]int{"active": active, "retained": retained} {
+		if line := fmt.Sprintf("\npcserved_%s_%s %d\n", resource, name, want); !strings.Contains(text, line) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(line))
+		}
+	}
 }
 
 // TestSessionLifecycleOverHTTP drives create -> snapshot -> stream ->
@@ -72,7 +110,7 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 	srv := newTestServer(t)
 	id := openSession(t, srv.URL, sessionBody())
 
-	lines := readStream(t, srv.URL, id)
+	lines := readStream(t, srv.URL+"/sessions/"+id+"/stream")
 	var last api.StreamEvent
 	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
 		t.Fatal(err)
@@ -80,15 +118,12 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 	if last.Type != api.StreamEnd || last.Reason != api.SessionDone {
 		t.Errorf("final event = %s, want end/done", lines[len(lines)-1])
 	}
+	wantGauges(t, srv.URL, "sessions", 0, 1)
 
-	resp, err := http.Get(srv.URL + "/sessions/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	status, body := do(t, http.MethodGet, srv.URL+"/sessions/"+id)
 	var snap api.SessionSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decode snapshot: %v", err)
+	if err := json.Unmarshal([]byte(body), &snap); err != nil || status != http.StatusOK {
+		t.Fatalf("snapshot: status %d, %v", status, err)
 	}
 	if snap.ID != id || snap.State != api.SessionDone || snap.Total != 24 {
 		t.Errorf("snapshot = id %s state %s total %d, want %s/done/24", snap.ID, snap.State, snap.Total, id)
@@ -100,23 +135,11 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 		t.Error("snapshot missing calibration info")
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/sessions/"+id, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if status, _ := do(t, http.MethodDelete, srv.URL+"/sessions/"+id); status != http.StatusNoContent {
+		t.Errorf("DELETE status = %d, want 204", status)
 	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusNoContent {
-		t.Errorf("DELETE status = %d, want 204", dresp.StatusCode)
-	}
-	gresp, err := http.Get(srv.URL + "/sessions/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gresp.Body.Close()
-	if gresp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET after delete = %d, want 404", gresp.StatusCode)
-	}
+	wantUnknown(t, srv.URL+"/sessions/"+id, `{"error":"monitor: no such session: `+id+`"}`+"\n")
+	wantGauges(t, srv.URL, "sessions", 0, 0)
 }
 
 // TestIdenticalSessionsStreamIdenticalNDJSON is the acceptance
@@ -126,15 +149,10 @@ func TestIdenticalSessionsStreamIdenticalNDJSON(t *testing.T) {
 	srv := newTestServer(t)
 	idA := openSession(t, srv.URL, sessionBody())
 	idB := openSession(t, srv.URL, sessionBody())
-	linesA := readStream(t, srv.URL, idA)
-	linesB := readStream(t, srv.URL, idB)
-	if len(linesA) != len(linesB) {
-		t.Fatalf("stream lengths differ: %d vs %d", len(linesA), len(linesB))
-	}
-	for i := range linesA {
-		if !bytes.Equal(linesA[i], linesB[i]) {
-			t.Fatalf("line %d diverges:\n  a: %s\n  b: %s", i, linesA[i], linesB[i])
-		}
+	a := bytes.Join(readStream(t, srv.URL+"/sessions/"+idA+"/stream"), []byte("\n"))
+	b := bytes.Join(readStream(t, srv.URL+"/sessions/"+idB+"/stream"), []byte("\n"))
+	if !bytes.Equal(a, b) {
+		t.Fatalf("streams diverge:\n  a: %s\n  b: %s", a, b)
 	}
 }
 
@@ -147,7 +165,7 @@ func TestSessionStreamCarriesDrift(t *testing.T) {
 	body.Inject = &api.InjectSpec{AfterStep: 16, Offset: 500_000}
 	id := openSession(t, srv.URL, body)
 	var drifts int
-	for _, line := range readStream(t, srv.URL, id) {
+	for _, line := range readStream(t, srv.URL+"/sessions/"+id+"/stream") {
 		var ev api.StreamEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
 			t.Fatal(err)
@@ -169,29 +187,69 @@ func TestSessionEndpointErrors(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("bad session request: status %d, want 400", status)
 	}
-	resp, err := http.Get(srv.URL + "/sessions/nope")
-	if err != nil {
-		t.Fatal(err)
+	wantUnknown(t, srv.URL+"/sessions/nope", `{"error":"monitor: no such session: nope"}`+"\n")
+}
+
+// TestRegistryLimitsAndDrainOverHTTP holds one long session and one
+// long campaign open against limits of one each: a second of either is
+// refused with 503 and the registry's exact error body, both show in
+// /healthz and /metrics, Server.Close drains campaigns before sessions,
+// and the drained node refuses both with 503.
+func TestRegistryLimitsAndDrainOverHTTP(t *testing.T) {
+	node := New(Config{
+		Workers:         2,
+		CalibrationRuns: 5,
+		Monitor:         monitor.Config{MaxSessions: 1, SweepInterval: -1},
+		Campaign:        campaign.Config{MaxCampaigns: 1, SweepInterval: -1},
+	})
+	srv := httptest.NewServer(node.Handler())
+	t.Cleanup(srv.Close)
+	long := map[string]any{
+		"/sessions":  api.SessionRequest{Measure: sessionBody().Measure, Steps: 10_000, IntervalMS: 5},
+		"/campaigns": api.CampaignRequest{Programs: 200, Runs: 4},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown session: status %d, want 404", resp.StatusCode)
+	full := map[string]string{"/sessions": "monitor: too many sessions (limit 1)", "/campaigns": "campaign: too many campaigns (limit 1)"}
+	closed := map[string]string{"/sessions": "monitor: registry closed", "/campaigns": "campaign: registry closed"}
+	wantRefused := func(why map[string]string) {
+		for path, req := range long {
+			if status, body := post(t, srv.URL+path, req); status != http.StatusServiceUnavailable || string(body) != `{"error":"`+why[path]+`"}`+"\n" {
+				t.Errorf("POST %s = %d %s, want 503 %q", path, status, body, why[path])
+			}
+		}
 	}
-	sresp, err := http.Get(srv.URL + "/sessions/nope/stream")
-	if err != nil {
-		t.Fatal(err)
+	for path, req := range long {
+		if status, body := post(t, srv.URL+path, req); status != http.StatusCreated {
+			t.Fatalf("POST %s: status %d body %s", path, status, body)
+		}
 	}
-	sresp.Body.Close()
-	if sresp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown stream: status %d, want 404", sresp.StatusCode)
+	wantRefused(full)
+	var h api.HealthResponse
+	if _, body := do(t, http.MethodGet, srv.URL+"/healthz"); json.Unmarshal([]byte(body), &h) != nil || h.ActiveSessions != 1 || h.ActiveCampaigns != 1 {
+		t.Errorf("healthz active sessions/campaigns = %d/%d, want 1/1", h.ActiveSessions, h.ActiveCampaigns)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/sessions/nope", nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	wantGauges(t, srv.URL, "sessions", 1, 1)
+	wantGauges(t, srv.URL, "campaigns", 1, 1)
+
+	// Once the session's drained end event is written, the campaign must
+	// already have ended.
+	sess, _ := node.reg.Get("s1")
+	camp, _ := node.creg.Get("c1")
+	campaignFirst := make(chan bool, 1)
+	go func() {
+		log := sess.Log()
+		for i := 0; ; {
+			lines, next, wait, done := log.Events(i)
+			if i = next; len(lines) == 0 && done {
+				break
+			} else if len(lines) == 0 {
+				<-wait
+			}
+		}
+		campaignFirst <- camp.Log().Ended()
+	}()
+	node.Close()
+	if !<-campaignFirst {
+		t.Error("Close drained a session before the campaigns")
 	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown delete: status %d, want 404", dresp.StatusCode)
-	}
+	wantRefused(closed)
 }
