@@ -5,22 +5,53 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/evlog"
 	"repro/internal/service"
 )
 
-// newTestRegistry builds a registry with a small service and the
-// janitor disabled. The lifecycle itself (limits, retention, eviction,
-// delete, drain) is covered by the shared registry suite in
-// internal/evlog.
+// fakeClock is an injectable clock for deterministic idle accounting.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+// newClockedRegistry builds a registry with a small service, a fake
+// clock, and the janitor disabled so tests drive Sweep directly. The
+// rest of the lifecycle (limits, retention, delete, drain) is covered
+// by the shared registry suite in internal/evlog.
+func newClockedRegistry(t *testing.T, cfg Config) (*Registry, *fakeClock) {
+	t.Helper()
+	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
+	cfg.SweepInterval = -1
+	cfg.Now = clock.Now
+	reg := NewRegistry(svc, cfg)
+	t.Cleanup(reg.Close)
+	return reg, clock
+}
+
+// newTestRegistry is newClockedRegistry with defaults, for tests that
+// never move the clock.
 func newTestRegistry(t *testing.T) *Registry {
 	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	reg := NewRegistry(svc, Config{SweepInterval: -1})
-	t.Cleanup(reg.Close)
+	reg, _ := newClockedRegistry(t, Config{})
 	return reg
 }
 
@@ -172,6 +203,43 @@ func TestStableSeriesFlagsNoDrift(t *testing.T) {
 	lines, _ := consume(t, sess)
 	if drifts := filterType(t, lines, api.StreamDrift); len(drifts) != 0 {
 		t.Errorf("stable series fired %d drift events: %s", len(drifts), drifts[0])
+	}
+}
+
+func TestIdleEviction(t *testing.T) {
+	reg, clock := newClockedRegistry(t, Config{IdleTimeout: time.Minute})
+	sess, err := reg.Open(context.Background(), testConfig())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	consume(t, sess) // session runs to completion and is now idle
+
+	if n := reg.Sweep(); n != 0 {
+		t.Fatalf("fresh session evicted (%d)", n)
+	}
+	clock.Advance(2 * time.Minute)
+	if n := reg.Sweep(); n != 1 {
+		t.Fatalf("Sweep evicted %d sessions, want 1", n)
+	}
+	if _, err := reg.Get(sess.ID); !errors.Is(err, evlog.ErrNotFound) {
+		t.Errorf("Get after eviction: %v, want ErrNotFound", err)
+	}
+	if active, retained := reg.Stats(); active != 0 || retained != 0 {
+		t.Errorf("registry still holds %d sessions (%d active)", retained, active)
+	}
+}
+
+func TestAttachedStreamPreventsEviction(t *testing.T) {
+	reg, clock := newClockedRegistry(t, Config{IdleTimeout: time.Minute})
+	sess, err := reg.Open(context.Background(), testConfig())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	sess.Log().Subscribe()
+	defer sess.Log().Unsubscribe()
+	clock.Advance(time.Hour)
+	if n := reg.Sweep(); n != 0 {
+		t.Errorf("Sweep evicted %d subscribed sessions, want 0", n)
 	}
 }
 
