@@ -31,7 +31,7 @@ func clusterMode(o options) (*mode, error) {
 	if o.direct == "" {
 		return nil, errNoDirect
 	}
-	shots, err := mixedShots(o, false)
+	shots, err := mixedShots(o, false, false)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,9 @@
 // and planning layers, consumes every NDJSON stream to its end event,
 // and fails the run if paired campaigns diverge byte-for-byte or if
 // any campaign produces a finding — the stock models must survive
-// their own attack suite. See docs/CAMPAIGNS.md.
+// their own attack suite. It runs at most 4 campaigns at once
+// (campaign.DefaultMaxCampaigns, a default pcserved's limit), whatever
+// -c says. See docs/CAMPAIGNS.md.
 //
 // With -mixed, every request rotates through /measure, /analyze,
 // /plan, and /infer, and the report splits latency percentiles per

@@ -213,6 +213,7 @@ func TestViolationsFailTheRun(t *testing.T) {
 	front, _, _ := newClusterFleet(t, 2)
 	for name, o := range map[string]options{
 		"request/response": {addr: flaky, mix: "K8/pc", n: 20, runs: 1, seeds: 1},
+		"mixed":            {workload: "mixed", addr: flaky, mix: "K8/pc", n: 12, runs: 1},
 		"engine":           {workload: "engine", addr: flaky, mix: "K8/pc", n: 32, runs: 1, seeds: 1},
 		"stream":           {workload: "monitor", addr: flaky, mix: "K8/pc", n: 4, steps: 4, window: 2},
 		"cluster":          {workload: "cluster", addr: front, direct: flaky, mix: "K8/pc", n: 4, runs: 1},

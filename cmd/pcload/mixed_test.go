@@ -3,33 +3,34 @@ package main
 import "testing"
 
 func TestBuildMixedPlan(t *testing.T) {
-	shots, err := mixedShots(options{mix: "K8/pc,CD/pc", n: 16, runs: 2}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shots) != 16 {
-		t.Fatalf("shots = %d, want 16", len(shots))
-	}
-	counts := make(map[string]int)
-	for _, s := range shots {
-		counts[s.path]++
-	}
-	for _, ep := range []string{"/measure", "/analyze", "/plan", "/infer"} {
-		if counts[ep] != 4 {
-			t.Errorf("endpoint %s got %d shots, want 4 (of %v)", ep, counts[ep], counts)
+	for _, distinct := range []bool{false, true} {
+		shots, err := mixedShots(options{mix: "K8/pc,CD/pc", n: 16, runs: 2}, false, distinct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shots) != 16 {
+			t.Fatalf("shots = %d, want 16", len(shots))
+		}
+		counts := make(map[string]int)
+		bodies := make(map[string]bool)
+		for _, s := range shots {
+			counts[s.path]++
+			bodies[s.key] = true
+		}
+		for _, ep := range []string{"/measure", "/analyze", "/plan", "/infer"} {
+			if counts[ep] != 4 {
+				t.Errorf("endpoint %s got %d shots, want 4 (of %v)", ep, counts[ep], counts)
+			}
+		}
+		// Plain rotations repeat the /infer body for the determinism
+		// check; distinct ones (traced runs) never repeat a body, since
+		// identical traced requests in flight together would coalesce and
+		// a follower's trace has a different shape from the direct one.
+		if want := map[bool]int{false: 13, true: 16}[distinct]; len(bodies) != want {
+			t.Errorf("distinct=%v: %d distinct bodies, want %d", distinct, len(bodies), want)
 		}
 	}
-	// No two shots of one wave share a body: identical traced requests
-	// in flight together would coalesce, and a follower's trace has a
-	// different shape from the direct node's.
-	seen := make(map[string]bool)
-	for _, s := range shots {
-		if seen[s.key] {
-			t.Errorf("duplicate request in one wave: %s", s.key)
-		}
-		seen[s.key] = true
-	}
-	if _, err := mixedShots(options{mix: "garbage", n: 8, runs: 2}, false); err == nil {
+	if _, err := mixedShots(options{mix: "garbage", n: 8, runs: 2}, false, false); err == nil {
 		t.Error("bad mix accepted")
 	}
 }

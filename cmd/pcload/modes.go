@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/bayes"
+	"repro/internal/campaign"
 )
 
 // parseMix parses a -mix spec — comma-separated PROC/stack pairs —
@@ -159,11 +160,13 @@ func rawInfer(shift float64) api.InferItem {
 // one load run covers the whole serving surface and the report's
 // per-endpoint latency split has something to split. Payloads are kept
 // modest: the mixed workload measures the endpoints' relative costs,
-// not their extremes. Every shot's body is distinct: identical requests
-// in flight together would coalesce, and a coalesced follower's trace
-// records only its wait, not the work. With trace, each shot opts into
-// tracing. Shared by -mixed, -trace, and -cluster.
-func mixedShots(o options, trace bool) ([]shot, error) {
+// not their extremes. Every fourth shot repeats one raw /infer body, so
+// the determinism check compares identical requests; with distinct,
+// that body moves with the rotation group instead, for traced runs:
+// identical requests in flight together coalesce, and a coalesced
+// follower's trace records only its wait, not the work. With trace,
+// each shot opts into tracing. Shared by -mixed, -trace, and -cluster.
+func mixedShots(o options, trace, distinct bool) ([]shot, error) {
 	configs, err := parseMix(o.mix)
 	if err != nil {
 		return nil, err
@@ -191,7 +194,11 @@ func mixedShots(o options, trace bool) ([]shot, error) {
 			shots = append(shots, newShot("/plan", api.PlanRequest{
 				Measure: req, TargetRelWidth: 0.25, PilotRuns: 2, MaxRuns: 8, Trace: trace}))
 		case 3:
-			shots = append(shots, newShot("/infer", api.InferRequest{Items: []api.InferItem{rawInfer(float64(i / 4))}, Trace: trace}))
+			shift := 0.0
+			if distinct {
+				shift = float64(i / 4)
+			}
+			shots = append(shots, newShot("/infer", api.InferRequest{Items: []api.InferItem{rawInfer(shift)}, Trace: trace}))
 		}
 	}
 	return shots, nil
@@ -200,7 +207,7 @@ func mixedShots(o options, trace bool) ([]shot, error) {
 // mixedMode drives the mixed rotation with the default determinism
 // cross-check, endpoint-agnostic.
 func mixedMode(o options) (*mode, error) {
-	shots, err := mixedShots(o, false)
+	shots, err := mixedShots(o, false, false)
 	return &mode{noun: "requests", waves: [][]shot{shots}, agree: "determinism: %d distinct requests, all responses consistent"}, err
 }
 
@@ -462,11 +469,6 @@ func monitorMode(o options) (*mode, error) {
 	return m, nil
 }
 
-// campaignWave is how many campaigns pcload runs at once. pcserved
-// refuses campaigns over its limit (4 by default) with 503, so campaigns
-// go in waves of this many, an even number so pairs stay together.
-const campaignWave = 4
-
 // campaignMode opens adversarial counter-validation campaigns in
 // identical-configuration pairs and cross-checks that paired campaigns
 // streamed byte-identical events. Any finding fails the run: the stock
@@ -490,8 +492,10 @@ func campaignMode(o options) (*mode, error) {
 		}))
 	}
 	m := &mode{noun: "campaigns", agree: "determinism: %d distinct configs, all paired streams identical"}
+	// pcserved refuses campaigns over its limit with 503, so they go in
+	// waves of its default limit, an even number so pairs stay together.
 	for len(shots) > 0 {
-		n := min(campaignWave, len(shots))
+		n := min(campaign.DefaultMaxCampaigns, len(shots))
 		m.waves, shots = append(m.waves, shots[:n]), shots[n:]
 	}
 	var swept, findings int

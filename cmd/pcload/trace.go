@@ -16,14 +16,14 @@ func traced(s shot) bool { return bytes.Contains(s.body, []byte(`"trace":true`))
 
 // twins returns the mixed rotation untraced and its traced twins, each
 // twin under its untraced request's identity so the determinism map
-// compares their stripped bodies. The twins go in a later wave: a
-// twin in flight beside its untraced request would coalesce with it
-// and trace only its wait.
+// compares their stripped bodies. No two shots of a wave share a body,
+// and the twins go in a later wave: a traced request in flight beside
+// an identical one would coalesce with it and trace only its wait.
 func twins(o options) (plain, tracedShots []shot, err error) {
-	if plain, err = mixedShots(o, false); err != nil {
+	if plain, err = mixedShots(o, false, true); err != nil {
 		return nil, nil, err
 	}
-	tracedShots, _ = mixedShots(o, true)
+	tracedShots, _ = mixedShots(o, true, true)
 	for i := range plain {
 		tracedShots[i].key = plain[i].key
 	}

@@ -99,7 +99,7 @@ func main() {
 		maxexp       = flag.Int("maxexp", 2, "maximum concurrent experiments")
 		maxsessions  = flag.Int("maxsessions", 16, "maximum concurrent monitoring sessions")
 		sessionidle  = flag.Duration("sessionidle", 2*time.Minute, "evict monitoring sessions idle this long")
-		maxcampaigns = flag.Int("maxcampaigns", 4, "maximum concurrent validation campaigns")
+		maxcampaigns = flag.Int("maxcampaigns", campaign.DefaultMaxCampaigns, "maximum concurrent validation campaigns")
 		campaignidle = flag.Duration("campaignidle", 2*time.Minute, "evict validation campaigns idle this long")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)

@@ -69,12 +69,16 @@ const (
 	coverageSigmas = 4.0
 )
 
+// DefaultMaxCampaigns is the default bound on active campaigns:
+// campaigns are heavy (hundreds of measurements each), so it is tighter
+// than the session registry's.
+const DefaultMaxCampaigns = 4
+
 // Config sizes a registry.
 type Config struct {
 	// MaxCampaigns bounds *active* campaigns — sweeps still issuing
-	// requests into the shared worker pools. Zero means 4: campaigns are
-	// heavy (hundreds of measurements each), so the default is tighter
-	// than the session registry's.
+	// requests into the shared worker pools. Zero means
+	// DefaultMaxCampaigns.
 	MaxCampaigns int
 	// IdleTimeout is how long a campaign may go without client activity
 	// (snapshot, attached stream) before the janitor evicts it. Zero
@@ -108,7 +112,7 @@ type Registry struct {
 // the idle-campaign janitor (unless disabled).
 func NewRegistry(svc Services, cfg Config) *Registry {
 	if cfg.MaxCampaigns <= 0 {
-		cfg.MaxCampaigns = 4
+		cfg.MaxCampaigns = DefaultMaxCampaigns
 	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 2
@@ -134,7 +138,11 @@ func (r *Registry) Open(req api.CampaignRequest) (*Campaign, error) {
 		return nil, err
 	}
 	return r.Registry.Open(func(id string) (*Campaign, error) {
-		return newCampaign(id, norm, r.svc, r.cfg), nil
+		ctx, cancel := context.WithCancel(context.Background())
+		return &Campaign{
+			ID: id, cfg: norm, reg: r, ctx: ctx, cancel: cancel, state: api.SessionRunning,
+			log: evlog.New(norm.Programs*(MaxFindingsPerProgram+1)+16, r.cfg.Now),
+		}, nil
 	})
 }
 
@@ -154,10 +162,8 @@ type Campaign struct {
 	// ID addresses the campaign on the wire.
 	ID string
 
-	cfg  api.CampaignRequest
-	svc  Services
-	inv  func(*cpu.Model) bayes.Model
-	conc int
+	cfg api.CampaignRequest
+	reg *Registry // the request paths and settings it sweeps with
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -177,23 +183,6 @@ type Campaign struct {
 	// replays the complete stream — the determinism tests compare full
 	// replays.
 	log *evlog.Log
-}
-
-// newCampaign builds a registered-but-not-yet-running campaign for a
-// normalized request.
-func newCampaign(id string, norm api.CampaignRequest, svc Services, cfg Config) *Campaign {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Campaign{
-		ID:     id,
-		cfg:    norm,
-		svc:    svc,
-		inv:    cfg.Invariants,
-		conc:   cfg.Concurrency,
-		ctx:    ctx,
-		cancel: cancel,
-		state:  api.SessionRunning,
-		log:    evlog.New(norm.Programs*(MaxFindingsPerProgram+1)+16, cfg.Now),
-	}
 }
 
 // progResult is one program's outcome, handed from a worker to the
@@ -217,12 +206,10 @@ func (c *Campaign) Run() {
 	for i := range results {
 		results[i] = make(chan progResult, 1)
 	}
-	sem := make(chan struct{}, c.conc)
+	sem := make(chan struct{}, c.reg.cfg.Concurrency)
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	spawn(&wg, func() {
 		for i := 0; i < n; i++ {
 			select {
 			case <-c.ctx.Done():
@@ -230,14 +217,12 @@ func (c *Campaign) Run() {
 				continue
 			case sem <- struct{}{}:
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+			spawn(&wg, func() {
 				defer func() { <-sem }()
 				results[i] <- c.runProgram(i)
-			}(i)
+			})
 		}
-	}()
+	})
 
 	for i := 0; i < n; i++ {
 		res := <-results[i]
@@ -278,6 +263,16 @@ func (c *Campaign) Run() {
 	sum := c.summary()
 	c.log.Append(api.CampaignEvent{Type: api.CampaignEventSummary, Summary: &sum})
 	c.close(api.SessionDone, "")
+}
+
+// spawn runs f on a goroutine wg waits for. Done follows f's return, so
+// once wg.Wait returns no goroutine is left in a Campaign method.
+func spawn(wg *sync.WaitGroup, f func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f()
+	}()
 }
 
 // recordFindingsLocked adds findings to the running totals and the
@@ -335,7 +330,7 @@ func (c *Campaign) runProgram(i int) progResult {
 			Seed:      seed,
 			Calibrate: true,
 		}
-		resp, err := c.svc.Measure(c.ctx, base)
+		resp, err := c.reg.svc.Measure(c.ctx, base)
 		if err != nil {
 			return progResult{err: fmt.Errorf("campaign: measuring %s on %s: %w", prog.Spec, tag, err)}
 		}
@@ -370,7 +365,7 @@ func (c *Campaign) runProgram(i int) progResult {
 		if every(c.cfg.EngineEvery) {
 			alt := base
 			alt.Engine = api.EngineInterpreter
-			resp2, err := c.svc.Measure(c.ctx, alt)
+			resp2, err := c.reg.svc.Measure(c.ctx, alt)
 			if err != nil {
 				return progResult{err: fmt.Errorf("campaign: re-measuring %s on %s (interpreter): %w", prog.Spec, tag, err)}
 			}
@@ -425,9 +420,9 @@ func (c *Campaign) checkInfer(base api.MeasureRequest, model *cpu.Model, instr, 
 		// mis-specified set — the planted-refutation tests — takes the
 		// same path as the stock library.
 		NoLibrary:   true,
-		Constraints: c.inv(model).Restrict([]string{instr, cycles}).Constraints,
+		Constraints: c.reg.cfg.Invariants(model).Restrict([]string{instr, cycles}).Constraints,
 	}
-	resp, err := c.svc.Infer(c.ctx, api.InferRequest{Items: []api.InferItem{item}})
+	resp, err := c.reg.svc.Infer(c.ctx, api.InferRequest{Items: []api.InferItem{item}})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: inferring %s on %s: %w", base.Bench, model.Tag, err)
 	}
@@ -468,7 +463,7 @@ func (c *Campaign) checkPlan(base api.MeasureRequest, instr, cycles string) ([]a
 	m := base
 	m.Events = []string{instr, cycles}
 	m.Runs, m.Calibrate = 0, false // owned by the planner
-	resp, err := c.svc.Plan(c.ctx, api.PlanRequest{
+	resp, err := c.reg.svc.Plan(c.ctx, api.PlanRequest{
 		Measure:        m,
 		TargetRelWidth: c.cfg.TargetRelWidth,
 		Confidence:     c.cfg.Confidence,

@@ -31,20 +31,26 @@ func collect(t testing.TB, camp *Campaign) [][]byte {
 	var all [][]byte
 	for i := 0; ; {
 		lines, next, wait, done := log.Events(i)
-		all = append(all, lines...)
-		i = next
-		if len(lines) > 0 {
-			continue
-		}
-		if done {
+		if i, all = next, append(all, lines...); len(lines) == 0 && done {
 			return all
-		}
-		select {
-		case <-wait:
-		case <-deadline:
-			t.Fatal("campaign did not finish in time")
+		} else if len(lines) == 0 {
+			select {
+			case <-wait:
+			case <-deadline:
+				t.Fatal("campaign did not finish in time")
+			}
 		}
 	}
+}
+
+// open starts a campaign or fails the test.
+func open(t testing.TB, reg *Registry, req api.CampaignRequest) *Campaign {
+	t.Helper()
+	camp, err := reg.Open(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return camp
 }
 
 // decode unmarshals a stream's lines.
@@ -81,10 +87,7 @@ func smallRequest() api.CampaignRequest {
 func TestCampaignStockClean(t *testing.T) {
 	reg := NewRegistry(newServices(), Config{SweepInterval: -1})
 	defer reg.Close()
-	camp, err := reg.Open(smallRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := open(t, reg, smallRequest())
 	events := decode(t, collect(t, camp))
 	var programs int
 	var summary *api.CampaignSummary
@@ -122,22 +125,10 @@ func TestCampaignDeterminism(t *testing.T) {
 	reg := NewRegistry(newServices(), Config{SweepInterval: -1, Concurrency: 3})
 	defer reg.Close()
 	req := smallRequest()
-	a, err := reg.Open(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := reg.Open(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	la, lb := collect(t, a), collect(t, b)
-	if len(la) != len(lb) {
-		t.Fatalf("streams differ in length: %d vs %d", len(la), len(lb))
-	}
-	for i := range la {
-		if !bytes.Equal(la[i], lb[i]) {
-			t.Fatalf("streams diverge at line %d:\n%s\n%s", i, la[i], lb[i])
-		}
+	a := open(t, reg, req)
+	b := open(t, reg, req)
+	if la, lb := bytes.Join(collect(t, a), nil), bytes.Join(collect(t, b), nil); !bytes.Equal(la, lb) {
+		t.Fatalf("streams diverge:\n%s\n%s", la, lb)
 	}
 	if a.Config().Key() != b.Config().Key() {
 		t.Fatal("identical requests normalized to different keys")
@@ -160,10 +151,7 @@ func TestCampaignPlantedRefutation(t *testing.T) {
 	defer reg.Close()
 	req := smallRequest()
 	req.InferEvery = 1 // attack every program
-	camp, err := reg.Open(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := open(t, reg, req)
 	events := decode(t, collect(t, camp))
 	refuted := 0
 	for _, ev := range events {
@@ -199,7 +187,7 @@ func TestCampaignCoverageAudit(t *testing.T) {
 	}
 	reg := NewRegistry(newServices(), Config{SweepInterval: -1, Concurrency: 4})
 	defer reg.Close()
-	camp, err := reg.Open(api.CampaignRequest{
+	camp := open(t, reg, api.CampaignRequest{
 		Seed:       7,
 		Programs:   500,
 		Processors: []string{"K8"},
@@ -211,9 +199,6 @@ func TestCampaignCoverageAudit(t *testing.T) {
 		PlanEvery:   -1,
 		EngineEvery: -1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := decode(t, collect(t, camp))
 	var summary *api.CampaignSummary
 	for _, ev := range events {
@@ -246,15 +231,7 @@ func BenchmarkCampaignSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		camp, err := reg.Open(api.CampaignRequest{
-			Seed:     uint64(i + 1),
-			Programs: 1,
-			Runs:     4,
-			Scale:    2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		camp := open(b, reg, api.CampaignRequest{Seed: uint64(i + 1), Programs: 1, Runs: 4, Scale: 2})
 		collect(b, camp)
 		if st := camp.Snapshot().State; st != api.SessionDone {
 			b.Fatalf("campaign ended %s", st)

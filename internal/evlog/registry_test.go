@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/campaign"
+	"repro/internal/campaign/gen"
 	"repro/internal/evlog"
 	"repro/internal/monitor"
 	"repro/internal/plan"
@@ -141,8 +142,8 @@ var suite = []struct {
 			t.Errorf("second delete: %v, want ErrNotFound", err)
 		}
 		wantStats(t, h.reg, 0, 0)
-		h.reg.Close() // waits for deleted items' producers too
-		wantNoProducers(t, h)
+		wantNoProducers(t, h, 5*time.Second) // Delete alone stops it
+		h.reg.Close()
 	}},
 	// Close ends every open stream with a drained end event and returns
 	// only once no producer goroutine is left; the closed registry
@@ -154,7 +155,7 @@ var suite = []struct {
 			streams = append(streams, follow(log))
 		}
 		h.reg.Close()
-		wantNoProducers(t, h)
+		wantNoProducers(t, h, 0)
 		for _, got := range streams {
 			if reason := <-got; reason != api.SessionDrained {
 				t.Errorf("stream end reason = %q, want drained", reason)
@@ -258,13 +259,24 @@ func sessionKind(max int, now func() time.Time) harness {
 
 func campaignKind(max int, now func() time.Time) harness {
 	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	reg := campaign.NewRegistry(campaign.Services{Measure: svc.Measure, Infer: svc.Infer, Plan: plan.New(svc).Do},
-		campaign.Config{MaxCampaigns: max, IdleTimeout: time.Minute, SweepInterval: -1, Now: now})
+	// Program 0 (class mix) is measured; programs 1 and 2 hang until
+	// their campaign ends, program 2 (class chase) 100ms longer, so a Run
+	// that returned without waiting for its workers leaves one behind.
+	measure := func(ctx context.Context, req api.MeasureRequest) (*api.MeasureResponse, error) {
+		if strings.Contains(req.Bench, ":"+string(gen.ClassMix)+":") {
+			return svc.Measure(ctx, req)
+		}
+		if <-ctx.Done(); strings.Contains(req.Bench, ":"+string(gen.ClassChase)+":") {
+			time.Sleep(100 * time.Millisecond)
+		}
+		return nil, ctx.Err()
+	}
+	reg := campaign.NewRegistry(campaign.Services{Measure: measure, Infer: svc.Infer, Plan: plan.New(svc).Do},
+		campaign.Config{MaxCampaigns: max, IdleTimeout: time.Minute, SweepInterval: -1, Concurrency: 3, Now: now})
 	h := bind(reg.Registry, func(long bool) (*campaign.Campaign, error) {
 		req := api.CampaignRequest{Programs: 1, Runs: 2, EngineEvery: -1, InferEvery: -1, PlanEvery: -1}
 		if long {
-			// Every check on every processor: still sweeping when ended.
-			req = api.CampaignRequest{Programs: 200, Runs: 4}
+			req.Programs = 200
 		}
 		return reg.Open(req)
 	}, func(c *campaign.Campaign) string { return c.ID })
@@ -319,14 +331,26 @@ func follow(log *evlog.Log) <-chan string {
 	return got
 }
 
-// wantNoProducers fails for every goroutine still running the
-// harness's item code.
-func wantNoProducers(t *testing.T, h harness) {
+// wantNoProducers fails if a goroutine still runs the harness's item
+// code once within has passed; zero checks once. Items leave their own
+// code before signalling the WaitGroup Close waits on, so none may be
+// left the moment Close returns.
+func wantNoProducers(t *testing.T, h harness, within time.Duration) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, h.producer) {
-			t.Errorf("producer outlives Close:\n%s", g)
+	for deadline := time.Now().Add(within); ; time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		var left []string
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, h.producer) {
+				left = append(left, g)
+			}
+		}
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%d producer goroutines left:\n%s", len(left), strings.Join(left, "\n\n"))
+			return
 		}
 	}
 }

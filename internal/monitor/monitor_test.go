@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,45 +14,30 @@ import (
 	"repro/internal/service"
 )
 
-// fakeClock is an injectable clock for deterministic idle accounting.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
-
 // newClockedRegistry builds a registry with a small service, a fake
-// clock, and the janitor disabled so tests drive Sweep directly. The
-// rest of the lifecycle (limits, retention, delete, drain) is covered
-// by the shared registry suite in internal/evlog.
-func newClockedRegistry(t *testing.T, cfg Config) (*Registry, *fakeClock) {
+// clock it returns the advance of, and the janitor disabled so tests
+// drive Sweep directly. The rest of the lifecycle (limits, retention,
+// delete, drain) is covered by the shared registry suite in
+// internal/evlog.
+func newClockedRegistry(t *testing.T, cfg Config) (*Registry, func(time.Duration)) {
 	t.Helper()
-	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	var clock atomic.Int64
 	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
 	cfg.SweepInterval = -1
-	cfg.Now = clock.Now
+	cfg.Now = func() time.Time { return time.Unix(1_700_000_000, clock.Load()) }
 	reg := NewRegistry(svc, cfg)
 	t.Cleanup(reg.Close)
-	return reg, clock
+	return reg, func(d time.Duration) { clock.Add(int64(d)) }
 }
 
-// newTestRegistry is newClockedRegistry with defaults, for tests that
-// never move the clock.
-func newTestRegistry(t *testing.T) *Registry {
+// open starts a session or fails the test.
+func open(t *testing.T, reg *Registry, cfg api.SessionRequest) *Session {
 	t.Helper()
-	reg, _ := newClockedRegistry(t, Config{})
-	return reg
+	sess, err := reg.Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return sess
 }
 
 // session configuration used throughout: small but with several
@@ -72,30 +57,22 @@ func consume(t *testing.T, sess *Session) (lines [][]byte, reason string) {
 	log := sess.Log()
 	log.Subscribe()
 	defer log.Unsubscribe()
-	i := 0
 	deadline := time.After(30 * time.Second)
-	for {
+	for i := 0; ; {
 		ls, next, wait, done := log.Events(i)
-		i = next
-		if len(ls) > 0 {
-			lines = append(lines, ls...)
-			continue
-		}
-		if done {
+		if i, lines = next, append(lines, ls...); len(ls) == 0 && done {
 			break
-		}
-		select {
-		case <-wait:
-		case <-deadline:
-			t.Fatalf("timed out waiting for session events (have %d)", i)
+		} else if len(ls) == 0 {
+			select {
+			case <-wait:
+			case <-deadline:
+				t.Fatalf("timed out waiting for session events (have %d)", i)
+			}
 		}
 	}
 	var last api.StreamEvent
-	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
-		t.Fatalf("unmarshal last event: %v", err)
-	}
-	if last.Type != api.StreamEnd {
-		t.Fatalf("last event is %q, want end", last.Type)
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Type != api.StreamEnd {
+		t.Fatalf("last event %s is no end event (%v)", lines[len(lines)-1], err)
 	}
 	return lines, last.Reason
 }
@@ -120,15 +97,9 @@ func filterType(t *testing.T, lines [][]byte, typ string) [][]byte {
 // criterion: two sessions with the same normalized configuration
 // produce byte-identical NDJSON sample series.
 func TestIdenticalSessionsStreamIdenticalSeries(t *testing.T) {
-	reg := newTestRegistry(t)
-	a, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open a: %v", err)
-	}
-	b, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open b: %v", err)
-	}
+	reg, _ := newClockedRegistry(t, Config{})
+	a := open(t, reg, testConfig())
+	b := open(t, reg, testConfig())
 	linesA, reasonA := consume(t, a)
 	linesB, reasonB := consume(t, b)
 	if reasonA != api.SessionDone || reasonB != api.SessionDone {
@@ -153,11 +124,8 @@ func TestInjectedStepChangeFlagsDrift(t *testing.T) {
 	cfg := testConfig()
 	cfg.Steps = 48
 	cfg.Inject = &api.InjectSpec{AfterStep: injectStep, Offset: 1_000_000}
-	reg := newTestRegistry(t)
-	sess, err := reg.Open(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	reg, _ := newClockedRegistry(t, Config{})
+	sess := open(t, reg, cfg)
 	lines, reason := consume(t, sess)
 	if reason != api.SessionDone {
 		t.Fatalf("end reason = %q, want done", reason)
@@ -195,11 +163,8 @@ func TestInjectedStepChangeFlagsDrift(t *testing.T) {
 func TestStableSeriesFlagsNoDrift(t *testing.T) {
 	cfg := testConfig()
 	cfg.Steps = 64
-	reg := newTestRegistry(t)
-	sess, err := reg.Open(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	reg, _ := newClockedRegistry(t, Config{})
+	sess := open(t, reg, cfg)
 	lines, _ := consume(t, sess)
 	if drifts := filterType(t, lines, api.StreamDrift); len(drifts) != 0 {
 		t.Errorf("stable series fired %d drift events: %s", len(drifts), drifts[0])
@@ -207,17 +172,14 @@ func TestStableSeriesFlagsNoDrift(t *testing.T) {
 }
 
 func TestIdleEviction(t *testing.T) {
-	reg, clock := newClockedRegistry(t, Config{IdleTimeout: time.Minute})
-	sess, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	reg, advance := newClockedRegistry(t, Config{IdleTimeout: time.Minute})
+	sess := open(t, reg, testConfig())
 	consume(t, sess) // session runs to completion and is now idle
 
 	if n := reg.Sweep(); n != 0 {
 		t.Fatalf("fresh session evicted (%d)", n)
 	}
-	clock.Advance(2 * time.Minute)
+	advance(2 * time.Minute)
 	if n := reg.Sweep(); n != 1 {
 		t.Fatalf("Sweep evicted %d sessions, want 1", n)
 	}
@@ -230,14 +192,11 @@ func TestIdleEviction(t *testing.T) {
 }
 
 func TestAttachedStreamPreventsEviction(t *testing.T) {
-	reg, clock := newClockedRegistry(t, Config{IdleTimeout: time.Minute})
-	sess, err := reg.Open(context.Background(), testConfig())
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	reg, advance := newClockedRegistry(t, Config{IdleTimeout: time.Minute})
+	sess := open(t, reg, testConfig())
 	sess.Log().Subscribe()
 	defer sess.Log().Unsubscribe()
-	clock.Advance(time.Hour)
+	advance(time.Hour)
 	if n := reg.Sweep(); n != 0 {
 		t.Errorf("Sweep evicted %d subscribed sessions, want 0", n)
 	}
@@ -251,11 +210,8 @@ func TestLateAttachReplaysRetainedTail(t *testing.T) {
 	cfg.Steps = 64
 	cfg.Capacity = 16 // logCap 2*16+16 = 48 < ~73 emitted lines
 	cfg.WindowSize = 8
-	reg := newTestRegistry(t)
-	sess, err := reg.Open(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	reg, _ := newClockedRegistry(t, Config{})
+	sess := open(t, reg, cfg)
 	// Attach again only after the session finished, so the retention
 	// window has certainly slid past the early lines.
 	consume(t, sess)
@@ -284,7 +240,7 @@ func TestLateAttachReplaysRetainedTail(t *testing.T) {
 }
 
 func TestOpenValidatesRequest(t *testing.T) {
-	reg := newTestRegistry(t)
+	reg, _ := newClockedRegistry(t, Config{})
 	bad := testConfig()
 	bad.WindowSize = 1
 	if _, err := reg.Open(context.Background(), bad); !errors.Is(err, api.ErrBadRequest) {

@@ -23,23 +23,9 @@ func campaignRequest() api.CampaignRequest {
 	}
 }
 
-// openCampaign creates a campaign and returns its creation response.
-func openCampaign(t *testing.T, base string) api.CampaignCreated {
-	t.Helper()
-	status, body := post(t, base+"/campaigns", campaignRequest())
-	if status != http.StatusCreated {
-		t.Fatalf("open campaign: status %d body %s", status, body)
-	}
-	var created api.CampaignCreated
-	if err := json.Unmarshal(body, &created); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	return created
-}
-
 func TestCampaignEndpoints(t *testing.T) {
 	srv := newTestServer(t)
-	created := openCampaign(t, srv.URL)
+	created := create[api.CampaignCreated](t, srv.URL+"/campaigns", campaignRequest())
 	if created.ID == "" || created.Config.Programs != 3 || created.Config.Confidence != 0.95 {
 		t.Fatalf("created = %+v", created)
 	}
@@ -79,11 +65,8 @@ func TestCampaignEndpoints(t *testing.T) {
 	// The snapshot agrees with the stream.
 	status, body := do(t, http.MethodGet, srv.URL+"/campaigns/"+created.ID)
 	var snap api.CampaignSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil || status != http.StatusOK {
-		t.Fatalf("snapshot: status %d, %v", status, err)
-	}
-	if snap.State != "done" || snap.Programs != 3 || snap.FindingsTotal != 0 {
-		t.Errorf("snapshot = %+v", snap)
+	if err := json.Unmarshal([]byte(body), &snap); err != nil || status != http.StatusOK || snap.State != "done" || snap.Programs != 3 || snap.FindingsTotal != 0 {
+		t.Errorf("snapshot: status %d, %v, %+v", status, err, snap)
 	}
 
 	// Delete forgets the ID.
@@ -106,13 +89,10 @@ func TestCampaignEndpointRejects(t *testing.T) {
 // count at zero; the field is present in the health shape.
 func TestHealthzCampaignOverlay(t *testing.T) {
 	srv := newTestServer(t)
-	created := openCampaign(t, srv.URL)
+	created := create[api.CampaignCreated](t, srv.URL+"/campaigns", campaignRequest())
 	readStream(t, srv.URL+"/campaigns/"+created.ID+"/stream") // wait for completion
 	var h api.HealthResponse
-	if _, body := do(t, http.MethodGet, srv.URL+"/healthz"); json.Unmarshal([]byte(body), &h) != nil {
-		t.Fatalf("decode healthz: %s", body)
-	}
-	if h.ActiveCampaigns != 0 {
-		t.Errorf("active campaigns = %d, want 0", h.ActiveCampaigns)
+	if _, body := do(t, http.MethodGet, srv.URL+"/healthz"); json.Unmarshal([]byte(body), &h) != nil || h.ActiveCampaigns != 0 {
+		t.Errorf("healthz %s, want activeCampaigns 0", body)
 	}
 }

@@ -34,24 +34,21 @@ func registerSessionRoutes(mux router, reg *monitor.Registry) {
 //	GET    {base}/{id}/stream -> its event log as NDJSON lines
 //	DELETE {base}/{id}        -> 204
 func registerItemRoutes[T evlog.Item, S any](mux router, base string, reg *evlog.Registry[T], snapshot func(T) S) {
-	mux.HandleFunc("GET "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
-		item, err := reg.Get(r.PathValue("id"))
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
+	get := func(serve func(w http.ResponseWriter, r *http.Request, item T)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if item, err := reg.Get(r.PathValue("id")); err != nil {
+				writeError(w, statusFor(err), err)
+			} else {
+				serve(w, r, item)
+			}
 		}
+	}
+	mux.HandleFunc("GET "+base+"/{id}", get(func(w http.ResponseWriter, _ *http.Request, item T) {
 		writeJSON(w, http.StatusOK, snapshot(item))
-	})
-
-	mux.HandleFunc("GET "+base+"/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		item, err := reg.Get(r.PathValue("id"))
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
+	}))
+	mux.HandleFunc("GET "+base+"/{id}/stream", get(func(w http.ResponseWriter, r *http.Request, item T) {
 		streamEvents(w, r, item.Log())
-	})
-
+	}))
 	mux.HandleFunc("DELETE "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := reg.Delete(r.PathValue("id")); err != nil {
 			writeError(w, statusFor(err), err)

@@ -23,19 +23,22 @@ func sessionBody() api.SessionRequest {
 	}
 }
 
+// create POSTs a session or campaign request and decodes the 201 answer.
+func create[T any](t *testing.T, url string, req any) (created T) {
+	t.Helper()
+	status, body := post(t, url, req)
+	if status != http.StatusCreated || json.Unmarshal(body, &created) != nil {
+		t.Fatalf("POST %s: status %d, body %s", url, status, body)
+	}
+	return created
+}
+
 // openSession creates a session and returns its ID.
 func openSession(t *testing.T, base string, req api.SessionRequest) string {
 	t.Helper()
-	status, body := post(t, base+"/sessions", req)
-	if status != http.StatusCreated {
-		t.Fatalf("POST /sessions: status %d, body %s", status, body)
-	}
-	var created api.SessionCreated
-	if err := json.Unmarshal(body, &created); err != nil {
-		t.Fatalf("unmarshal created: %v", err)
-	}
+	created := create[api.SessionCreated](t, base+"/sessions", req)
 	if created.ID == "" || created.Config.Steps != req.Steps {
-		t.Fatalf("unexpected creation response: %s", body)
+		t.Fatalf("unexpected creation response: %+v", created)
 	}
 	return created.ID
 }
@@ -49,11 +52,8 @@ func readStream(t *testing.T, url string) [][]byte {
 		t.Fatalf("GET stream: %v", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content type = %q", ct)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/x-ndjson" {
+		t.Fatalf("stream status = %d, content type %q", resp.StatusCode, ct)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil || len(body) == 0 {
@@ -112,10 +112,7 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 
 	lines := readStream(t, srv.URL+"/sessions/"+id+"/stream")
 	var last api.StreamEvent
-	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Type != api.StreamEnd || last.Reason != api.SessionDone {
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Type != api.StreamEnd || last.Reason != api.SessionDone {
 		t.Errorf("final event = %s, want end/done", lines[len(lines)-1])
 	}
 	wantGauges(t, srv.URL, "sessions", 0, 1)
