@@ -1,11 +1,11 @@
 // Command pcfront is the cluster coordinator: a proxy that
-// consistent-hashes canonical request keys (api.RequestKey — the exact
-// identity internal/service coalesces on) across a fleet of pcserved
-// backends. Identical requests land on the same node, so cluster-wide
-// request coalescing and calibration-cache affinity fall out of
-// routing; and because every node answers a normalized request with a
-// byte-identical body, any node is a correct fallback for retries and
-// tail-latency hedging.
+// consistent-hashes canonical request keys (api.RequestKeyForPath —
+// the exact identity internal/service coalesces on) across a fleet of
+// pcserved backends. Identical requests land on the same node, so
+// cluster-wide request coalescing and calibration-cache affinity fall
+// out of routing; and because every node answers a normalized request
+// with a byte-identical body, any node is a correct fallback for
+// retries and tail-latency hedging.
 //
 // Endpoints (the pcserved surface, proxied):
 //

@@ -163,21 +163,44 @@ func (it AnalyzeItem) Key() string {
 
 // Normalized validates the batch and every item in it.
 func (r AnalyzeRequest) Normalized() (AnalyzeRequest, error) {
-	if len(r.Items) == 0 {
-		return r, badf("api: analyze request has no items")
-	}
-	if len(r.Items) > MaxAnalyzeItems {
-		return r, badf("api: %d items exceed the batch limit %d", len(r.Items), MaxAnalyzeItems)
-	}
-	items := make([]AnalyzeItem, len(r.Items))
-	for i, it := range r.Items {
-		norm, err := it.Normalized()
-		if err != nil {
-			return r, fmt.Errorf("item %d: %w", i, err)
-		}
-		items[i] = norm
+	items, err := normalizeItems("analyze", r.Items, MaxAnalyzeItems)
+	if err != nil {
+		return r, err
 	}
 	return AnalyzeRequest{Items: items}, nil
+}
+
+// Key is a normalized batch's identity: its item keys in order.
+func (r AnalyzeRequest) Key() string { return itemsKey(r.Items) }
+
+// normalizeItems validates an analyze or infer batch: non-empty,
+// within max, and every item normalized, the first failing item named
+// by its index.
+func normalizeItems[T interface{ Normalized() (T, error) }](kind string, items []T, max int) ([]T, error) {
+	if len(items) == 0 {
+		return nil, badf("api: %s request has no items", kind)
+	}
+	if len(items) > max {
+		return nil, badf("api: %d items exceed the batch limit %d", len(items), max)
+	}
+	out := make([]T, len(items))
+	for i, it := range items {
+		norm, err := it.Normalized()
+		if err != nil {
+			return nil, fmt.Errorf("item %d: %w", i, err)
+		}
+		out[i] = norm
+	}
+	return out, nil
+}
+
+// itemsKey joins a normalized batch's item keys in order.
+func itemsKey[T interface{ Key() string }](items []T) string {
+	keys := make([]string, len(items))
+	for i, it := range items {
+		keys[i] = it.Key()
+	}
+	return strings.Join(keys, ";")
 }
 
 // TermInfo is one named correction term on the wire.

@@ -16,8 +16,10 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 
@@ -404,7 +406,9 @@ type ServiceStats struct {
 	// batches).
 	Infers uint64 `json:"infers"`
 	// Coalesced is how many calls were served by joining an identical
-	// in-flight request instead of executing.
+	// in-flight request instead of executing. Like CoalesceLeaders it
+	// sums over every coalesced endpoint: /measure, /analyze and /infer
+	// items, and /plan.
 	Coalesced uint64 `json:"coalesced"`
 	// CoalesceLeaders is how many calls executed as a flight leader
 	// (followers joined them); Coalesced counts the followers.
@@ -414,13 +418,36 @@ type ServiceStats struct {
 	CalibrationHits   uint64 `json:"calibrationHits"`
 	CalibrationMisses uint64 `json:"calibrationMisses"`
 	// PinnedWorkers is how many workers are currently checked out to
-	// long-lived holders (monitoring sessions) rather than requests.
+	// long-lived holders (monitoring sessions, plan executions) rather
+	// than requests.
 	PinnedWorkers uint64 `json:"pinnedWorkers"`
 }
 
 // Error is the service's JSON error body.
 type Error struct {
 	Error string `json:"error"`
+}
+
+// MaxBody bounds a request body on both tiers: pcfront buffers bodies
+// to retry and hedge them, and a node decodes them whole, so a hostile
+// client must not make either hold gigabytes.
+const MaxBody = 16 << 20
+
+// ErrBodyTooLarge is the 413 answer to a body over MaxBody, the same
+// from a node and from pcfront.
+var ErrBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBody)
+
+// WriteJSON writes v as a JSON response body at status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the JSON error body both tiers answer with, so an
+// error pcfront raises itself reads exactly like one from a node.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, Error{Error: err.Error()})
 }
 
 // ParseBench parses a benchmark spec: null, loop:N, or array:N. It

@@ -5,15 +5,14 @@
 // The whole cluster design rests on one fact: identical normalized
 // requests produce byte-identical responses on any node, so routing is
 // an efficiency decision (cache affinity, coalescing), never a
-// correctness one. RequestKey is the single definition of "identical"
-// — pcfront hashes exactly the key the service coalesces on, instead
-// of re-deriving canonicalization in a second package.
+// correctness one. RequestKeyForPath is the single definition of
+// "identical" — pcfront hashes exactly the key the service coalesces
+// on, instead of re-deriving canonicalization in a second package.
 package api
 
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 )
 
 // Forwarded-request metadata. pcfront marks the internal hop with
@@ -39,108 +38,79 @@ const (
 	HeaderRequestKey = "X-Pcfront-Key"
 )
 
-// RequestKey returns the canonical identity of a request of any
-// endpoint type: the exact string the service coalesces identical
-// in-flight work on. pcfront hashes it to place the request on the
-// fleet, so a request lands on the node already coalescing and
-// caching its twin. Accepts values or pointers of the wire request
-// types; a validation failure returns the request's error unchanged.
-func RequestKey(req any) (string, error) {
-	switch r := req.(type) {
-	case MeasureRequest:
-		n, err := r.Normalized()
-		if err != nil {
-			return "", err
-		}
-		return n.Key(), nil
-	case *MeasureRequest:
-		return RequestKey(*r)
-	case AnalyzeRequest:
-		n, err := r.Normalized()
-		if err != nil {
-			return "", err
-		}
-		keys := make([]string, len(n.Items))
-		for i, it := range n.Items {
-			keys[i] = it.Key()
-		}
-		return "analyze|" + strings.Join(keys, ";"), nil
-	case *AnalyzeRequest:
-		return RequestKey(*r)
-	case PlanRequest:
-		n, err := r.Normalized()
-		if err != nil {
-			return "", err
-		}
-		return n.Key(), nil
-	case *PlanRequest:
-		return RequestKey(*r)
-	case InferRequest:
-		n, err := r.Normalized()
-		if err != nil {
-			return "", err
-		}
-		keys := make([]string, len(n.Items))
-		for i, it := range n.Items {
-			keys[i] = it.Key()
-		}
-		return "inferreq|" + strings.Join(keys, ";"), nil
-	case *InferRequest:
-		return RequestKey(*r)
-	case ExperimentRequest:
-		// Experiments have no Key of their own (they are not coalesced);
-		// the tuple below is their full identity.
+// keyedPaths is the one table of the service's keyed POST endpoints:
+// path to body decoder. Each decoder reads a raw body once and returns
+// its canonical routing key — the exact string the service coalesces
+// identical in-flight work on — and whether the body opted into
+// tracing.
+var keyedPaths = map[string]func(path string, body []byte) (key string, trace bool, err error){
+	"/measure": keyed(normalizedKey[MeasureRequest](""), func(r MeasureRequest) bool { return r.Trace }),
+	"/analyze": keyed(normalizedKey[AnalyzeRequest]("analyze|"), func(r AnalyzeRequest) bool { return r.Trace }),
+	"/plan":    keyed(normalizedKey[PlanRequest](""), func(r PlanRequest) bool { return r.Trace }),
+	"/infer":   keyed(normalizedKey[InferRequest]("inferreq|"), func(r InferRequest) bool { return r.Trace }),
+	"/experiment": keyed(func(r ExperimentRequest) (string, error) {
+		// Experiments are not coalesced; the tuple is their full identity.
 		return fmt.Sprintf("exp|%s|r%d|s%d", r.ID, r.Runs, r.Seed), nil
-	case *ExperimentRequest:
-		return RequestKey(*r)
-	case SessionRequest:
+	}, nil),
+	"/sessions": keyed(func(r SessionRequest) (string, error) {
 		n, err := r.Normalized()
 		if err != nil {
 			return "", err
 		}
 		return n.SessionKey(), nil
-	case *SessionRequest:
-		return RequestKey(*r)
-	case CampaignRequest:
+	}, nil),
+	"/campaigns": keyed(normalizedKey[CampaignRequest]("campaign|"), nil),
+}
+
+// keyed builds a keyedPaths decoder for one wire request type. The
+// trace wish survives a body that decodes but fails validation, so a
+// traced 400 still carries its trace; a nil trace means the endpoint
+// is not trace-capable.
+func keyed[R any](key func(R) (string, error), trace func(R) bool) func(string, []byte) (string, bool, error) {
+	return func(path string, body []byte) (string, bool, error) {
+		var req R
+		err := json.Unmarshal(body, &req)
+		traced := trace != nil && trace(req)
+		if err != nil {
+			return "", traced, badf("api: decoding %s request: %v", path, err)
+		}
+		k, err := key(req)
+		return k, traced, err
+	}
+}
+
+// normalizedKey keys a request by its canonical form's Key.
+func normalizedKey[R interface {
+	Normalized() (R, error)
+	Key() string
+}](prefix string) func(R) (string, error) {
+	return func(r R) (string, error) {
 		n, err := r.Normalized()
 		if err != nil {
 			return "", err
 		}
-		return "campaign|" + n.Key(), nil
-	case *CampaignRequest:
-		return RequestKey(*r)
+		return prefix + n.Key(), nil
 	}
-	return "", fmt.Errorf("api: no canonical key for %T", req)
 }
 
-// RequestKeyForPath decodes a raw JSON request body addressed to one
-// of the service's POST endpoints and returns its RequestKey. This is
-// the form pcfront uses: it proxies bodies opaquely and only needs the
-// canonical key to place them.
+// DecodeKeyed decodes a raw JSON request body addressed to one of the
+// service's keyed POST endpoints and returns its canonical key and its
+// trace wish, from one decode. pcfront proxies bodies opaquely and
+// needs only these two facts to place and trace them; a validation
+// failure returns the request's error unchanged.
+func DecodeKeyed(path string, body []byte) (key string, trace bool, err error) {
+	decode, ok := keyedPaths[path]
+	if !ok {
+		return "", false, fmt.Errorf("api: no keyed endpoint %q", path)
+	}
+	return decode(path, body)
+}
+
+// RequestKeyForPath returns the canonical key of a raw request body
+// addressed to path (DecodeKeyed without the trace wish).
 func RequestKeyForPath(path string, body []byte) (string, error) {
-	key := func(req any) (string, error) {
-		if err := json.Unmarshal(body, req); err != nil {
-			return "", badf("api: decoding %s request: %v", path, err)
-		}
-		return RequestKey(req)
-	}
-	switch path {
-	case "/measure":
-		return key(&MeasureRequest{})
-	case "/analyze":
-		return key(&AnalyzeRequest{})
-	case "/plan":
-		return key(&PlanRequest{})
-	case "/infer":
-		return key(&InferRequest{})
-	case "/experiment":
-		return key(&ExperimentRequest{})
-	case "/sessions":
-		return key(&SessionRequest{})
-	case "/campaigns":
-		return key(&CampaignRequest{})
-	}
-	return "", fmt.Errorf("api: no keyed endpoint %q", path)
+	key, _, err := DecodeKeyed(path, body)
+	return key, err
 }
 
 // Cluster node states reported by pcfront's /healthz.

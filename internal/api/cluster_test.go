@@ -3,14 +3,63 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestRequestKeyMatchesCoalescingKey: RequestKey must return exactly
-// the key the service coalesces on — Normalized().Key() — for every
-// wire request type, value or pointer. A divergence here would send
-// pcfront's placement and the service's coalescing to different nodes.
+// TestRequestKeyForPath is the one table over the seven keyed paths.
+// Each key is pinned as a literal string: it is both pcfront's
+// placement key (X-Pcfront-Key hashes it) and, for the coalesced
+// endpoints, the flight key the service joins identical in-flight work
+// on, so a key that moves silently re-places and de-coalesces traffic.
+func TestRequestKeyForPath(t *testing.T) {
+	measure := MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:1000", Pattern: "rr", Runs: 3}
+	cases := []struct {
+		path string
+		req  any
+		key  string
+	}{
+		{"/measure", measure,
+			"K8|pc|loop:1000|rr|user|INSTR_RETIRED|O0|r3|s1|cfalse|tfalse"},
+		{"/analyze", AnalyzeRequest{Items: []AnalyzeItem{{Measure: measure}}},
+			"analyze|K8|pc|loop:1000|rr|user|INSTR_RETIRED|O0|r3|s1|cfalse|tfalse|conf0.95|mpx0|sp0|duet[]"},
+		{"/plan", PlanRequest{Measure: MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:400"}, TargetRelWidth: 0.2},
+			"plan|K8|pc|loop:400|ar|user|INSTR_RETIRED|O0|r1|s1|cfalse|tfalse|w0.2|conf0.95|hw4|p4|m256|ref2|postfalse"},
+		{"/infer", InferRequest{Items: []InferItem{{Processor: "K8", Inputs: []InferInput{
+			{Event: "INSTR_RETIRED", Mean: 1000, Variance: 100},
+			{Event: "CPU_CLK_UNHALTED", Mean: 2000, Variance: 400},
+		}}}},
+			"inferreq|infer|K8|conf0.95|nolibfalse|in[r{INSTR_RETIRED=1000±100};r{CPU_CLK_UNHALTED=2000±400}]|c[]"},
+		{"/experiment", ExperimentRequest{ID: "e1", Runs: 3, Seed: 7},
+			"exp|e1|r3|s7"},
+		{"/sessions", SessionRequest{Measure: measure, Steps: 8},
+			"K8|pc|loop:1000|rr|user|INSTR_RETIRED|O0|r1|s1|cfalse|tfalse|n8|w8|cap1024|conf0.95|inj[]"},
+		{"/campaigns", CampaignRequest{Programs: 2},
+			"campaign|s1|n2|PD,CD,K8|pc|ar|mix,branch,chase,phase,probe|x3|r8|i4|p16|e1|w0.25|c0.95"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RequestKeyForPath(tc.path, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.key {
+				t.Fatalf("key moved:\n got %q\nwant %q", got, tc.key)
+			}
+		})
+	}
+}
+
+// TestRequestKeyMatchesCoalescingKey: the key RequestKeyForPath derives
+// from a raw body must be exactly the key the service coalesces on —
+// Normalized().Key() of the decoded request — for every wire request
+// type. A divergence here would send pcfront's placement and the
+// service's coalescing to different nodes.
 func TestRequestKeyMatchesCoalescingKey(t *testing.T) {
 	measure := MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:1000", Pattern: "rr", Runs: 3}
 	nm, err := measure.Normalized()
@@ -40,26 +89,29 @@ func TestRequestKeyMatchesCoalescingKey(t *testing.T) {
 
 	cases := []struct {
 		name string
+		path string
 		req  any
 		want string
 	}{
-		{"measure", measure, nm.Key()},
-		{"measure pointer", &measure, nm.Key()},
-		{"analyze", analyze, "analyze|" + na.Items[0].Key()},
-		{"plan", plan, np.Key()},
-		{"plan pointer", &plan, np.Key()},
-		{"experiment", ExperimentRequest{ID: "e1", Runs: 3, Seed: 7}, "exp|e1|r3|s7"},
-		{"session", session, ns.SessionKey()},
-		{"campaign", campaign, "campaign|" + nc.Key()},
+		{"measure", "/measure", measure, nm.Key()},
+		{"analyze", "/analyze", analyze, "analyze|" + na.Items[0].Key()},
+		{"plan", "/plan", plan, np.Key()},
+		{"experiment", "/experiment", ExperimentRequest{ID: "e1", Runs: 3, Seed: 7}, "exp|e1|r3|s7"},
+		{"session", "/sessions", session, ns.SessionKey()},
+		{"campaign", "/campaigns", campaign, "campaign|" + nc.Key()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := RequestKey(tc.req)
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RequestKeyForPath(tc.path, body)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != tc.want {
-				t.Fatalf("RequestKey = %q, want %q", got, tc.want)
+				t.Fatalf("RequestKeyForPath(%s) = %q, want %q", tc.path, got, tc.want)
 			}
 		})
 	}
@@ -68,13 +120,13 @@ func TestRequestKeyMatchesCoalescingKey(t *testing.T) {
 // TestRequestKeyCanonicalization: requests that mean the same thing —
 // defaults implicit vs explicit — share one key.
 func TestRequestKeyCanonicalization(t *testing.T) {
-	implicit := MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:1000"}
-	explicit := MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:1000", Pattern: DefaultPattern, Runs: DefaultRuns}
-	ki, err := RequestKey(implicit)
+	implicit := `{"processor":"K8","stack":"pc","bench":"loop:1000"}`
+	explicit := fmt.Sprintf(`{"processor":"K8","stack":"pc","bench":"loop:1000","pattern":%q,"runs":%d}`, DefaultPattern, DefaultRuns)
+	ki, err := RequestKeyForPath("/measure", []byte(implicit))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ke, err := RequestKey(explicit)
+	ke, err := RequestKeyForPath("/measure", []byte(explicit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,61 +135,46 @@ func TestRequestKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// TestRequestKeyErrors: validation failures surface as ErrBadRequest,
-// unknown types are rejected.
+// TestRequestKeyErrors: validation and decoding failures surface as
+// ErrBadRequest, unknown paths are rejected.
 func TestRequestKeyErrors(t *testing.T) {
-	if _, err := RequestKey(MeasureRequest{Processor: "NOPE"}); !errors.Is(err, ErrBadRequest) {
+	if _, err := RequestKeyForPath("/measure", []byte(`{"processor":"NOPE"}`)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("invalid measure: err = %v, want ErrBadRequest", err)
 	}
-	if _, err := RequestKey(42); err == nil {
-		t.Fatal("RequestKey(42) succeeded")
-	}
-}
-
-// TestRequestKeyForPath: the body-decoding form agrees with the typed
-// form on every endpoint, and rejects what it must.
-func TestRequestKeyForPath(t *testing.T) {
-	measure := MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:1000", Pattern: "rr", Runs: 3}
-	cases := []struct {
-		path string
-		req  any
-	}{
-		{"/measure", measure},
-		{"/analyze", AnalyzeRequest{Items: []AnalyzeItem{{Measure: measure}}}},
-		{"/plan", PlanRequest{Measure: MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:400"}, TargetRelWidth: 0.2}},
-		{"/infer", InferRequest{Items: []InferItem{{Processor: "K8", Inputs: []InferInput{
-			{Event: "INSTR_RETIRED", Mean: 1000, Variance: 100},
-			{Event: "CPU_CLK_UNHALTED", Mean: 2000, Variance: 400},
-		}}}}},
-		{"/experiment", ExperimentRequest{ID: "e1", Runs: 3, Seed: 7}},
-		{"/sessions", SessionRequest{Measure: measure, Steps: 8}},
-		{"/campaigns", CampaignRequest{Programs: 2}},
-	}
-	for _, tc := range cases {
-		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
-			body, err := json.Marshal(tc.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromBody, err := RequestKeyForPath(tc.path, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromType, err := RequestKey(tc.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fromBody != fromType {
-				t.Fatalf("keys disagree:\nbody: %q\ntype: %q", fromBody, fromType)
-			}
-		})
-	}
-
 	if _, err := RequestKeyForPath("/measure", []byte(`{`)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("malformed JSON: err = %v, want ErrBadRequest", err)
 	}
 	if _, err := RequestKeyForPath("/nonesuch", []byte(`{}`)); err == nil {
 		t.Fatal("unknown path accepted")
+	}
+}
+
+// TestDecodeKeyedTrace: the trace wish comes from the same decode as
+// the key, only the four trace-capable endpoints have one, and it
+// survives a body that decodes but fails validation — so a traced 400
+// through pcfront still carries its trace.
+func TestDecodeKeyedTrace(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		body string
+		want bool
+	}{
+		{"/measure", `{"trace": true, "metric": "instructions"}`, true},
+		{"/measure", `{"metric": "instructions"}`, false},
+		{"/measure", `{"trace": false}`, false},
+		{"/measure", `{"trace": true, "processor": "NOPE"}`, true}, // invalid, still traced
+		{"/measure", `{"trace": true, "runs": "three"}`, true},     // type error, still traced
+		{"/analyze", `{"trace": true}`, true},
+		{"/plan", `{"trace": true}`, true},
+		{"/infer", `{"trace": true}`, true},
+		{"/sessions", `{"trace": true}`, false}, // not trace-capable
+		{"/measure", `not json`, false},
+		{"/measure", ``, false},
+		{"/nonesuch", `{"trace": true}`, false},
+	} {
+		if _, got, _ := DecodeKeyed(tc.path, []byte(tc.body)); got != tc.want {
+			t.Errorf("DecodeKeyed(%q, %q) trace = %v, want %v", tc.path, tc.body, got, tc.want)
+		}
 	}
 }
 

@@ -290,22 +290,15 @@ func (it InferItem) Model() (bayes.Model, error) {
 
 // Normalized validates the batch and every item in it.
 func (r InferRequest) Normalized() (InferRequest, error) {
-	if len(r.Items) == 0 {
-		return r, badf("api: infer request has no items")
-	}
-	if len(r.Items) > MaxInferItems {
-		return r, badf("api: %d items exceed the batch limit %d", len(r.Items), MaxInferItems)
-	}
-	items := make([]InferItem, len(r.Items))
-	for i, it := range r.Items {
-		norm, err := it.Normalized()
-		if err != nil {
-			return r, fmt.Errorf("item %d: %w", i, err)
-		}
-		items[i] = norm
+	items, err := normalizeItems("infer", r.Items, MaxInferItems)
+	if err != nil {
+		return r, err
 	}
 	return InferRequest{Items: items}, nil
 }
+
+// Key is a normalized batch's identity: its item keys in order.
+func (r InferRequest) Key() string { return itemsKey(r.Items) }
 
 // EstimateInfoFromMoments assembles the wire estimate from first and
 // second moments at a confidence level: the shared shape of every

@@ -114,21 +114,10 @@ func (t *TraceInfo) Shape() string {
 	return shape
 }
 
-// WantsTrace reports whether a raw request body addressed to path opts
-// into tracing. Only the four trace-capable endpoints are probed; the
-// decode looks at the one field and ignores the rest, so the front can
-// answer this without understanding the body.
-func WantsTrace(path string, body []byte) bool {
-	switch path {
-	case "/measure", "/analyze", "/plan", "/infer":
-	default:
-		return false
-	}
-	var probe struct {
-		Trace bool `json:"trace"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return false
-	}
-	return probe.Trace
-}
+// WithTrace returns a copy of the response carrying the trace block.
+// The block is per-caller wall time, while the response itself may be
+// shared by every caller of a coalesced flight.
+func (r MeasureResponse) WithTrace(t *TraceInfo) *MeasureResponse { r.Trace = t; return &r }
+func (r AnalyzeResponse) WithTrace(t *TraceInfo) *AnalyzeResponse { r.Trace = t; return &r }
+func (r PlanResponse) WithTrace(t *TraceInfo) *PlanResponse       { r.Trace = t; return &r }
+func (r InferResponse) WithTrace(t *TraceInfo) *InferResponse     { r.Trace = t; return &r }

@@ -96,25 +96,3 @@ func TestStitchedTracePreservesBackendBytes(t *testing.T) {
 		t.Fatalf("origin %q", back.Origin)
 	}
 }
-
-func TestWantsTrace(t *testing.T) {
-	for _, tc := range []struct {
-		path string
-		body string
-		want bool
-	}{
-		{"/measure", `{"trace": true, "metric": "instructions"}`, true},
-		{"/measure", `{"metric": "instructions"}`, false},
-		{"/measure", `{"trace": false}`, false},
-		{"/analyze", `{"trace": true}`, true},
-		{"/plan", `{"trace": true}`, true},
-		{"/infer", `{"trace": true}`, true},
-		{"/sessions", `{"trace": true}`, false}, // not trace-capable
-		{"/measure", `not json`, false},
-		{"/measure", ``, false},
-	} {
-		if got := WantsTrace(tc.path, []byte(tc.body)); got != tc.want {
-			t.Errorf("WantsTrace(%q, %q) = %v, want %v", tc.path, tc.body, got, tc.want)
-		}
-	}
-}

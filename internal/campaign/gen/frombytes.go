@@ -87,5 +87,5 @@ func FromBytes(data []byte) *isa.Program {
 		}
 	}
 	code = append(code, isa.Halt())
-	return &isa.Program{Name: "fuzz", Base: 0x4000, Code: code}
+	return isa.NewBuilder("fuzz", 0x4000).Emit(code...).Build()
 }

@@ -174,10 +174,7 @@ func (p *Program) Spec() string {
 // the benchmark base. This is the form Truth models and engine-exactness
 // tests run.
 func (p *Program) Raw() *isa.Program {
-	code := make([]isa.Instr, 0, len(p.Code)+1)
-	code = append(code, p.Code...)
-	code = append(code, isa.Halt())
-	return &isa.Program{Name: p.Spec(), Base: Base, Code: code}
+	return isa.NewBuilder(p.Spec(), Base).Emit(p.Code...).Emit(isa.Halt()).Build()
 }
 
 // Benchmark adapts the program to the measurement pipeline. Branch

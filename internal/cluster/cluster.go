@@ -1,9 +1,9 @@
 // Package cluster is the coordinator tier that scales pcserved out
 // horizontally: a consistent-hash proxy (cmd/pcfront) that places each
 // request on a fleet of measurement nodes by its canonical key
-// (api.RequestKey — the exact identity the service coalesces on), so
-// cluster-wide request coalescing and calibration-cache affinity fall
-// out of routing for free.
+// (api.RequestKeyForPath — the exact identity the service coalesces
+// on), so cluster-wide request coalescing and calibration-cache
+// affinity fall out of routing for free.
 //
 // Because every node answers a given normalized request with a
 // byte-identical body (the determinism contract of internal/service),

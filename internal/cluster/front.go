@@ -7,17 +7,12 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/telemetry"
 )
-
-// maxBody bounds a proxied request body: pcfront buffers bodies to
-// retry and hedge them, so a hostile client must not buffer gigabytes.
-const maxBody = 16 << 20
 
 // Front is the HTTP face of the cluster: the route table mirroring
 // pcserved's, the stream-owner pinning for stateful resources, and the
@@ -102,7 +97,7 @@ func (f *Front) Close() { f.c.Close() }
 func (f *Front) routes() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, f.instrument(endpointLabel(pattern), h))
+		mux.HandleFunc(pattern, f.instrument(telemetry.EndpointLabel(pattern), h))
 	}
 	for _, path := range []string{"/measure", "/analyze", "/plan", "/infer", "/experiment"} {
 		handle("POST "+path, f.keyed(path, true, nil))
@@ -126,15 +121,6 @@ func (f *Front) routes() http.Handler {
 	mux.HandleFunc("GET /metrics", f.serveMetrics)
 	mux.HandleFunc("GET /cluster/metrics", f.clusterMetrics)
 	return mux
-}
-
-// endpointLabel strips the method from a route pattern for metric
-// labels, mirroring internal/server.
-func endpointLabel(pattern string) string {
-	if i := strings.IndexByte(pattern, ' '); i >= 0 {
-		return pattern[i+1:]
-	}
-	return pattern
 }
 
 // instrument wraps a handler with the per-endpoint counters and the
@@ -166,20 +152,19 @@ func (f *Front) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc
 // answer.
 func (f *Front) keyed(path string, hedge bool, record *owners) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBody+1))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 			return
 		}
-		if len(body) > maxBody {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody))
+		if len(body) > api.MaxBody {
+			api.WriteError(w, http.StatusRequestEntityTooLarge, api.ErrBodyTooLarge)
 			return
 		}
-		key, kerr := api.RequestKeyForPath(path, body)
+		key, traced, kerr := api.DecodeKeyed(path, body)
 		if kerr != nil {
 			key = "raw|" + strconv.FormatUint(hashKey(string(body)), 16)
 		}
-		traced := api.WantsTrace(path, body)
 		if traced {
 			// Mark the hop traced: the backend echoes its span trace in
 			// the X-Pc-Trace-Spans response header (error bodies included)
@@ -192,7 +177,7 @@ func (f *Front) keyed(path string, hedge bool, record *owners) http.HandlerFunc 
 			if traced {
 				f.sealTrace(w, tr, nil)
 			}
-			writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: forwarding %s: %w", path, err))
+			api.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: forwarding %s: %w", path, err))
 			return
 		}
 		if traced {
@@ -289,7 +274,7 @@ func (f *Front) owned(kind string, o *owners, stream bool) http.HandlerFunc {
 			n = f.locate(r.Context(), kind, id, o)
 		}
 		if n == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("cluster: no node owns %s/%s", kind, id))
+			api.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: no node owns %s/%s", kind, id))
 			return
 		}
 		if stream {
@@ -334,7 +319,7 @@ func (f *Front) proxyOwned(w http.ResponseWriter, r *http.Request, n *Node, o *o
 	n.requests.Add(1)
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, n.Base+path, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	req.Header.Set(api.HeaderForwarded, f.c.cfg.Name)
@@ -342,14 +327,14 @@ func (f *Front) proxyOwned(w http.ResponseWriter, r *http.Request, n *Node, o *o
 	if err != nil {
 		n.errors.Add(1)
 		f.c.noteTransportFailure(n)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", n.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", n.Name, err))
 		return
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		n.errors.Add(1)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", n.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", n.Name, err))
 		return
 	}
 	if r.Method == http.MethodDelete && resp.StatusCode == http.StatusNoContent {
@@ -370,7 +355,7 @@ func (f *Front) proxyStream(w http.ResponseWriter, r *http.Request, n *Node, pat
 	n.requests.Add(1)
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Base+path, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	req.Header.Set(api.HeaderForwarded, f.c.cfg.Name)
@@ -378,7 +363,7 @@ func (f *Front) proxyStream(w http.ResponseWriter, r *http.Request, n *Node, pat
 	if err != nil {
 		n.errors.Add(1)
 		f.c.noteTransportFailure(n)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", n.Name, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", n.Name, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -426,7 +411,7 @@ func (f *Front) healthz(w http.ResponseWriter, r *http.Request) {
 	if h.Status == "unavailable" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	api.WriteJSON(w, status, h)
 }
 
 // drain handles the admin drain/undrain endpoints. Draining marks the
@@ -447,14 +432,14 @@ func (f *Front) drain(on bool) http.HandlerFunc {
 			n, err = f.c.Undrain(name)
 		}
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			api.WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		if on {
 			if waitSpec := r.URL.Query().Get("wait"); waitSpec != "" {
 				d, perr := time.ParseDuration(waitSpec)
 				if perr != nil {
-					writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad wait %q: %v", waitSpec, perr))
+					api.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad wait %q: %v", waitSpec, perr))
 					return
 				}
 				ctx, cancel := context.WithTimeout(r.Context(), d)
@@ -462,7 +447,7 @@ func (f *Front) drain(on bool) http.HandlerFunc {
 				cancel()
 			}
 		}
-		writeJSON(w, http.StatusOK, f.c.NodeInfo(name))
+		api.WriteJSON(w, http.StatusOK, f.c.NodeInfo(name))
 	}
 }
 
@@ -600,7 +585,7 @@ func (f *Front) clusterHealthz(w http.ResponseWriter, r *http.Request) {
 	if front.Status == "unavailable" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, api.ClusterStatusFrom(front, health, errs))
+	api.WriteJSON(w, status, api.ClusterStatusFrom(front, health, errs))
 }
 
 // scrapeHealth fetches and decodes one backend's /healthz under the
@@ -643,18 +628,6 @@ func writeProxied(w http.ResponseWriter, resp *backendResponse, info RouteInfo, 
 	}
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
-}
-
-// writeJSON writes v as the JSON response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the shared JSON error body.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, api.Error{Error: err.Error()})
 }
 
 // statusWriter records the response status for the error counter,

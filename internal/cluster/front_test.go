@@ -555,3 +555,26 @@ func TestOwnersBounded(t *testing.T) {
 		t.Fatal("drop did not remove the pin")
 	}
 }
+
+// TestFrontBodyCap: an oversized body gets the same 413 answer from the
+// front and from a node directly, so capping does not break the
+// byte-identity contract.
+func TestFrontBodyCap(t *testing.T) {
+	_, front, backends := newFleet(t, 1, nil)
+	body := `{"bench":"` + strings.Repeat("x", api.MaxBody) + `"}`
+	want := `{"error":"request body exceeds 16777216 bytes"}` + "\n"
+	for _, base := range []string{front.URL, backends[0].URL} {
+		resp, err := http.Post(base+"/measure", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", base, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || string(got) != want {
+			t.Errorf("%s: status %d body %.200q, want 413 %q", base, resp.StatusCode, got, want)
+		}
+	}
+}

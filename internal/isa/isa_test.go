@@ -88,19 +88,36 @@ func TestProgramAddresses(t *testing.T) {
 	b := NewBuilder("t", 0x1000)
 	b.Emit(ALU(), Branch(0, true), Halt())
 	p := b.Build()
-	if got := p.Addr(0); got != 0x1000 {
-		t.Errorf("Addr(0) = %#x", got)
-	}
-	if got := p.Addr(1); got != 0x1000+DefaultSize {
-		t.Errorf("Addr(1) = %#x", got)
+	// Build lays out every address: they are correct on first read, for
+	// every instruction, with no lazy step left to race on.
+	for i, want := range []uint64{0x1000, 0x1000 + DefaultSize, 0x1000 + DefaultSize + 2} {
+		if got := p.Addr(i); got != want {
+			t.Errorf("Addr(%d) = %#x, want %#x", i, got, want)
+		}
 	}
 	// branch is 2 bytes, halt 1 byte
 	if got := p.ByteSize(); got != DefaultSize+2+1 {
 		t.Errorf("ByteSize = %d", got)
 	}
-	p.SetBase(0x2000)
-	if got := p.Addr(0); got != 0x2000 {
-		t.Errorf("after SetBase, Addr(0) = %#x", got)
+	// A second program at another base lays out independently.
+	if got := NewBuilder("u", 0x2000).Emit(Halt()).Build().Addr(0); got != 0x2000 {
+		t.Errorf("rebased Addr(0) = %#x", got)
+	}
+}
+
+func TestTableInterns(t *testing.T) {
+	var tab Table[int, *Program]
+	builds := 0
+	build := func() *Program {
+		builds++
+		return NewBuilder("t", 0).Emit(Halt()).Build()
+	}
+	a, b := tab.Get(1, build), tab.Get(1, build)
+	if a != b || builds != 1 {
+		t.Fatalf("same key: shared=%v builds=%d, want one shared build", a == b, builds)
+	}
+	if c := tab.Get(2, build); c == a || builds != 2 {
+		t.Fatalf("new key: distinct=%v builds=%d, want a second build", c != a, builds)
 	}
 }
 

@@ -9,6 +9,11 @@ import (
 // Instruction i occupies bytes [Addr(i), Addr(i)+Size). The load base is
 // significant: the paper demonstrates (Figures 11-12) that code placement
 // alone changes measured cycle counts, so placement is part of the model.
+//
+// A Program is immutable once built: Builder.Build lays out every
+// instruction address, so programs are safe to share across goroutines.
+// Addr and ByteSize need that layout; a Program assembled as a literal
+// has none and suits only callers that never ask for addresses.
 type Program struct {
 	// Name identifies the program in diagnostics ("loop-bench", "sys_read"...).
 	Name string
@@ -17,7 +22,7 @@ type Program struct {
 	// Code is the instruction sequence.
 	Code []Instr
 
-	addrs []uint64 // lazily computed instruction addresses
+	addrs []uint64 // instruction addresses, laid out by Build
 }
 
 // ErrNoHalt is reported by Validate for programs that can run off the end.
@@ -27,38 +32,15 @@ var ErrNoHalt = errors.New("isa: program does not end in halt, sysret, or iret")
 func (p *Program) Len() int { return len(p.Code) }
 
 // Addr returns the byte address of instruction i.
-func (p *Program) Addr(i int) uint64 {
-	if p.addrs == nil {
-		p.computeAddrs()
-	}
-	return p.addrs[i]
-}
+func (p *Program) Addr(i int) uint64 { return p.addrs[i] }
 
 // ByteSize returns the total encoded size of the program in bytes.
 func (p *Program) ByteSize() uint64 {
-	if p.addrs == nil {
-		p.computeAddrs()
-	}
 	if len(p.Code) == 0 {
 		return 0
 	}
 	last := len(p.Code) - 1
 	return p.addrs[last] + uint64(p.Code[last].Size) - p.Base
-}
-
-func (p *Program) computeAddrs() {
-	p.addrs = make([]uint64, len(p.Code))
-	a := p.Base
-	for i, in := range p.Code {
-		p.addrs[i] = a
-		a += uint64(in.Size)
-	}
-}
-
-// SetBase relocates the program to a new load address.
-func (p *Program) SetBase(base uint64) {
-	p.Base = base
-	p.addrs = nil
 }
 
 // Validate checks structural well-formedness: branch targets in range,
@@ -164,8 +146,15 @@ func (b *Builder) Loop(iters int64, body func(*Builder)) *Builder {
 // Pos returns the index the next emitted instruction will have.
 func (b *Builder) Pos() int { return len(b.p.Code) }
 
-// Build finalizes and returns the program.
+// Build finalizes and returns the program with its instruction
+// addresses laid out.
 func (b *Builder) Build() *Program {
 	p := b.p
+	p.addrs = make([]uint64, len(p.Code))
+	a := p.Base
+	for i, in := range p.Code {
+		p.addrs[i] = a
+		a += uint64(in.Size)
+	}
 	return &p
 }

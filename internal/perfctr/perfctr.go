@@ -121,27 +121,38 @@ func (p *Perfctr) Setup(specs []core.CounterSpec) error {
 	return p.installHandlers(len(specs))
 }
 
-// installHandlers (re)builds the kernel-side syscall handlers for a
-// selection of n counters.
+// installHandlers installs the kernel-side syscall handlers for a
+// selection of n counters. The handlers are pure functions of the
+// processor's kernel cost and n, so the handlers table builds them
+// once per pair and every context shares them.
 func (p *Perfctr) installHandlers(n int) error {
-	type handler struct {
-		nr   int
-		prog *isa.Program
-	}
-	handlers := []handler{
-		{sysControl, p.buildControl(n, true)},
-		{sysStart, p.buildControl(n, false)},
-		{sysStop, p.buildStop()},
-		{sysReadA, p.buildSlowRead(n, core.PhaseC0)},
-		{sysReadB, p.buildSlowRead(n, core.PhaseC1)},
-	}
-	for _, h := range handlers {
-		if err := p.k.UpdateSyscall(h.nr, extName, h.prog); err != nil {
+	progs := handlers.Get(handlerKey{p.k.Model().KernelCost, n}, func() [5]*isa.Program {
+		return [5]*isa.Program{
+			p.buildControl(n, true),
+			p.buildControl(n, false),
+			p.buildStop(n),
+			p.buildSlowRead(n, core.PhaseC0),
+			p.buildSlowRead(n, core.PhaseC1),
+		}
+	})
+	for i, nr := range [5]int{sysControl, sysStart, sysStop, sysReadA, sysReadB} {
+		if err := p.k.UpdateSyscall(nr, extName, progs[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// handlerKey identifies one handler set: the processor's kernel cost
+// (the only model parameter the handlers read) and the counter count.
+type handlerKey struct {
+	kernelCost float64
+	n          int
+}
+
+// handlers interns every handler set built so far, in the order
+// installHandlers registers them.
+var handlers isa.Table[handlerKey, [5]*isa.Program]
 
 // buildControl models the vperfctr control handler: per-counter
 // programming, optional reset, enable, and the exit path. Only the
@@ -162,10 +173,10 @@ func (p *Perfctr) buildControl(n int, reset bool) *isa.Program {
 
 // buildStop models vperfctr suspend: a short entry, the disable, and a
 // longer bookkeeping tail that is already outside the window.
-func (p *Perfctr) buildStop() *isa.Program {
+func (p *Perfctr) buildStop(n int) *isa.Program {
 	b := isa.NewBuilder("perfctr_sys_stop", 0xffff_a100_0000)
 	b.ALUBlock(p.kscale(stopKernelPre))
-	b.Emit(isa.WRMSR(isa.MSRDisable, p.mask))
+	b.Emit(isa.WRMSR(isa.MSRDisable, p.maskFor(n)))
 	b.ALUBlock(p.kscale(stopKernelPost))
 	b.Emit(isa.VarWork(kernelJitterMax, 12))
 	b.Emit(isa.SysRet())

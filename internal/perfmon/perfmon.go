@@ -119,26 +119,38 @@ func (p *Perfmon) Setup(specs []core.CounterSpec) error {
 	return p.installHandlers(len(specs))
 }
 
-// installHandlers (re)builds the perfmon syscall handlers for n counters.
+// installHandlers installs the perfmon syscall handlers for n
+// counters. The handlers are pure functions of the processor's kernel
+// cost and n, so the handlers table builds them once per pair
+// and every context shares them.
 func (p *Perfmon) installHandlers(n int) error {
-	type handler struct {
-		nr   int
-		prog *isa.Program
-	}
-	handlers := []handler{
-		{sysReset, p.buildReset(n)},
-		{sysStart, p.buildStart(n)},
-		{sysStop, p.buildStop()},
-		{sysReadA, p.buildRead(n, core.PhaseC0)},
-		{sysReadB, p.buildRead(n, core.PhaseC1)},
-	}
-	for _, h := range handlers {
-		if err := p.k.UpdateSyscall(h.nr, extName, h.prog); err != nil {
+	progs := handlers.Get(handlerKey{p.k.Model().KernelCost, n}, func() [5]*isa.Program {
+		return [5]*isa.Program{
+			p.buildReset(n),
+			p.buildStart(n),
+			p.buildStop(n),
+			p.buildRead(n, core.PhaseC0),
+			p.buildRead(n, core.PhaseC1),
+		}
+	})
+	for i, nr := range [5]int{sysReset, sysStart, sysStop, sysReadA, sysReadB} {
+		if err := p.k.UpdateSyscall(nr, extName, progs[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// handlerKey identifies one handler set: the processor's kernel cost
+// (the only model parameter the handlers read) and the counter count.
+type handlerKey struct {
+	kernelCost float64
+	n          int
+}
+
+// handlers interns every handler set built so far, in the order
+// installHandlers registers them.
+var handlers isa.Table[handlerKey, [5]*isa.Program]
 
 // buildReset models pfm_write_pmds zeroing the counters. It runs while
 // counting is disabled, so its length is outside every window.
@@ -166,11 +178,11 @@ func (p *Perfmon) buildStart(n int) *isa.Program {
 }
 
 // buildStop models pfm_stop.
-func (p *Perfmon) buildStop() *isa.Program {
+func (p *Perfmon) buildStop(n int) *isa.Program {
 	b := isa.NewBuilder("pfm_sys_stop", 0xffff_b200_0000)
 	b.ALUBlock(p.kscale(stopKernelPre))
 	b.Emit(isa.VarWork(kernelJitterMax, 33))
-	b.Emit(isa.WRMSR(isa.MSRDisable, p.mask))
+	b.Emit(isa.WRMSR(isa.MSRDisable, p.maskFor(n)))
 	b.ALUBlock(p.kscale(stopKernelPost))
 	b.Emit(isa.SysRet())
 	return b.Build()

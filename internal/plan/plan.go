@@ -42,80 +42,29 @@ package plan
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/api"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 // Planner turns plan requests into executed, fused measurement plans
 // on a service's worker pools. It is safe for concurrent use.
 type Planner struct {
-	svc    *service.Service
-	flight *service.Flight[*api.PlanResponse]
-
-	plans     atomic.Uint64
-	coalesced atomic.Uint64
-	leaders   atomic.Uint64
+	svc *service.Service
 }
 
 // New returns a planner executing on svc's worker pools.
 func New(svc *service.Service) *Planner {
-	return &Planner{svc: svc, flight: service.NewFlight[*api.PlanResponse]()}
+	return &Planner{svc: svc}
 }
-
-// Stats reports how many plans were accepted and how many calls were
-// served by joining an identical in-flight plan.
-func (p *Planner) Stats() (plans, coalesced uint64) {
-	return p.plans.Load(), p.coalesced.Load()
-}
-
-// Leaders reports how many plans executed as a flight leader.
-func (p *Planner) Leaders() uint64 { return p.leaders.Load() }
 
 // Do plans, executes, and fuses one request. The response for a given
 // normalized request is deterministic, so identical in-flight requests
-// join one execution (the same service.Flight protocol /measure and
-// /analyze coalesce through).
+// join one execution: the service's request path — the one /measure
+// takes — normalizes, coalesces, and traces the call, and this
+// planner's executor runs once per flight.
 func (p *Planner) Do(ctx context.Context, req api.PlanRequest) (*api.PlanResponse, error) {
-	// As in service.Measure: the trace wish is captured before
-	// normalization strips it, so traced and untraced plans share one
-	// coalescing key, and a follower's trace is marked coalesced rather
-	// than replaying the leader's execution spans.
-	wantTrace := req.Trace
-	tr := telemetry.FromContext(ctx)
-	if wantTrace && tr == nil {
-		tr = telemetry.New()
-		ctx = telemetry.NewContext(ctx, tr)
-	}
-	sp := tr.Start(telemetry.SpanCanonicalize)
-	norm, err := req.Normalized()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	p.plans.Add(1)
-
-	wait := tr.Clock()
-	resp, joined, err := p.flight.Do(ctx, norm.Key(), func() (*api.PlanResponse, error) {
-		return p.execute(ctx, norm)
-	})
-	if joined {
-		p.coalesced.Add(1)
-		tr.SetCoalesced()
-		tr.AddSince(telemetry.SpanCoalesceWait, wait)
-	} else {
-		p.leaders.Add(1)
-	}
-	if err != nil || !wantTrace {
-		return resp, err
-	}
-	// The trace block is per-caller wall time; never write it onto the
-	// flight-shared response.
-	out := *resp
-	out.Trace = api.TraceInfoFrom(tr)
-	return &out, nil
+	return p.svc.Plan(ctx, req, p.execute)
 }
 
 // execute routes a normalized request to its mode's executor.

@@ -461,8 +461,7 @@ func TestPlanCoalescing(t *testing.T) {
 			t.Errorf("caller %d diverged", i)
 		}
 	}
-	plans, _ := p.Stats()
-	if plans != callers {
+	if plans := p.svc.Stats().Plans; plans != callers {
 		t.Errorf("plans = %d, want %d", plans, callers)
 	}
 }

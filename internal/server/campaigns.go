@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 
 	"repro/internal/api"
@@ -16,7 +17,7 @@ import (
 //	DELETE /campaigns/{id}        -> 204
 func registerCampaignRoutes(mux router, creg *campaign.Registry) {
 	mux.HandleFunc("POST /campaigns", handleJSON(http.StatusCreated,
-		func(r *http.Request, req api.CampaignRequest) (api.CampaignCreated, error) {
+		func(_ context.Context, req api.CampaignRequest) (api.CampaignCreated, error) {
 			camp, err := creg.Open(req)
 			if err != nil {
 				return api.CampaignCreated{}, err

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/api"
@@ -71,12 +70,8 @@ func New(cfg Config) *Server {
 	if cfg.Workers == 0 {
 		cfg.Workers = 4
 	}
-	if cfg.CalibrationRuns == 0 {
-		cfg.CalibrationRuns = 31
-	}
-	if cfg.MaxExperiments == 0 {
-		cfg.MaxExperiments = 2
-	}
+	// Zero CalibrationRuns and MaxExperiments take the service's
+	// defaults, which are this node's.
 	svc := service.New(service.Config{
 		WorkersPerShard:          cfg.Workers,
 		CalibrationRuns:          cfg.CalibrationRuns,
@@ -133,18 +128,7 @@ type instrumentedRouter struct {
 }
 
 func (ir instrumentedRouter) HandleFunc(pattern string, h func(http.ResponseWriter, *http.Request)) {
-	ir.mux.HandleFunc(pattern, ir.ts.instrument(endpointLabel(pattern), h))
-}
-
-// endpointLabel derives the metric label from a route pattern: the
-// path template with the method dropped ("POST /measure" becomes
-// "/measure"). Wildcards stay as templates ("/sessions/{id}"), so
-// label cardinality is bounded by the route table, never by URLs.
-func endpointLabel(pattern string) string {
-	if _, path, ok := strings.Cut(pattern, " "); ok {
-		return path
-	}
-	return pattern
+	ir.mux.HandleFunc(pattern, ir.ts.instrument(telemetry.EndpointLabel(pattern), h))
 }
 
 // newHandler wires the service, session and campaign registries, and
@@ -157,26 +141,11 @@ func newHandler(svc *service.Service, reg *monitor.Registry, creg *campaign.Regi
 	ir := instrumentedRouter{mux: mux, ts: ts}
 	registerSessionRoutes(ir, reg)
 	registerCampaignRoutes(ir, creg)
-	ir.HandleFunc("POST /measure", handleJSON(http.StatusOK,
-		func(r *http.Request, req api.MeasureRequest) (*api.MeasureResponse, error) {
-			return svc.Measure(r.Context(), req)
-		}))
-	ir.HandleFunc("POST /analyze", handleJSON(http.StatusOK,
-		func(r *http.Request, req api.AnalyzeRequest) (*api.AnalyzeResponse, error) {
-			return svc.Analyze(r.Context(), req)
-		}))
-	ir.HandleFunc("POST /plan", handleJSON(http.StatusOK,
-		func(r *http.Request, req api.PlanRequest) (*api.PlanResponse, error) {
-			return planner.Do(r.Context(), req)
-		}))
-	ir.HandleFunc("POST /infer", handleJSON(http.StatusOK,
-		func(r *http.Request, req api.InferRequest) (*api.InferResponse, error) {
-			return svc.Infer(r.Context(), req)
-		}))
-	ir.HandleFunc("POST /experiment", handleJSON(http.StatusOK,
-		func(r *http.Request, req api.ExperimentRequest) (*api.ExperimentResponse, error) {
-			return svc.Experiment(r.Context(), req)
-		}))
+	ir.HandleFunc("POST /measure", handleJSON(http.StatusOK, svc.Measure))
+	ir.HandleFunc("POST /analyze", handleJSON(http.StatusOK, svc.Analyze))
+	ir.HandleFunc("POST /plan", handleJSON(http.StatusOK, planner.Do))
+	ir.HandleFunc("POST /infer", handleJSON(http.StatusOK, svc.Infer))
+	ir.HandleFunc("POST /experiment", handleJSON(http.StatusOK, svc.Experiment))
 	ir.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// The service owns pool and cache state; the session and campaign
 		// registries are the front end's, so their live counts are
@@ -184,9 +153,9 @@ func newHandler(svc *service.Service, reg *monitor.Registry, creg *campaign.Regi
 		h := svc.Health()
 		h.ActiveSessions, _ = reg.Stats()
 		h.ActiveCampaigns, _ = creg.Stats()
-		writeJSON(w, http.StatusOK, h)
+		api.WriteJSON(w, http.StatusOK, h)
 	})
-	ir.HandleFunc("GET /metrics", ts.serveMetrics(svc, reg, creg, planner))
+	ir.HandleFunc("GET /metrics", ts.serveMetrics(svc, reg, creg))
 	if cfg.pprof {
 		// Explicit registrations rather than the package's init-time
 		// DefaultServeMux side effects: the flag, not the import, decides
@@ -202,30 +171,36 @@ func newHandler(svc *service.Service, reg *monitor.Registry, creg *campaign.Regi
 }
 
 // handleJSON is the one shape every JSON endpoint shares: decode the
-// body (a malformed body is always the client's fault), run the
-// handler, map its error to a status with statusFor, and write
-// either the api.Error body or the response at the success code. One
-// helper means every endpoint emits the same error shape.
-func handleJSON[Req, Resp any](code int, do func(*http.Request, Req) (Resp, error)) http.HandlerFunc {
+// body (a malformed body is always the client's fault, and one over
+// api.MaxBody gets pcfront's 413), run the handler, map its error to a
+// status with statusFor, and write either the api.Error body or the
+// response at the success code. One helper means every endpoint emits
+// the same error shape.
+func handleJSON[Req, Resp any](code int, do func(context.Context, Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := telemetry.FromContext(r.Context())
 		pstart := tr.Clock()
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBody)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				api.WriteError(w, http.StatusRequestEntityTooLarge, api.ErrBodyTooLarge)
+				return
+			}
+			api.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
 		tr.AddSince(telemetry.SpanParse, pstart)
-		resp, err := do(r, req)
+		resp, err := do(r.Context(), req)
 		if err != nil {
-			writeError(w, statusFor(err), err)
+			api.WriteError(w, statusFor(err), err)
 			return
 		}
 		// The encode span cannot appear in the response it times — the
 		// body is sealed before the span ends — so it feeds the stage
 		// histogram only (docs/OBSERVABILITY.md).
 		estart := tr.Clock()
-		writeJSON(w, code, resp)
+		api.WriteJSON(w, code, resp)
 		tr.AddSince(telemetry.SpanEncode, estart)
 	}
 }
@@ -248,18 +223,6 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
-}
-
-// writeJSON writes v as the JSON response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the service's JSON error body.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, api.Error{Error: err.Error()})
 }
 
 // Timeouts returns the read/idle deadlines a production listener

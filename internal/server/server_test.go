@@ -416,3 +416,23 @@ func TestInferRejectsInvalid(t *testing.T) {
 		t.Errorf("negative variance: status = %d, body = %s", status, body)
 	}
 }
+
+// TestBodyCap: a body over api.MaxBody gets pcfront's 413 answer, not
+// a 400 echoing the oversized field back.
+func TestBodyCap(t *testing.T) {
+	srv := newTestServer(t)
+	body := `{"bench":"` + strings.Repeat("x", api.MaxBody) + `"}`
+	resp, err := http.Post(srv.URL+"/measure", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"error":"request body exceeds 16777216 bytes"}` + "\n"
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || string(got) != want {
+		t.Fatalf("status %d body %.200q, want 413 %q", resp.StatusCode, got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"time"
 
@@ -17,8 +18,8 @@ import (
 //	DELETE /sessions/{id}        -> 204
 func registerSessionRoutes(mux router, reg *monitor.Registry) {
 	mux.HandleFunc("POST /sessions", handleJSON(http.StatusCreated,
-		func(r *http.Request, req api.SessionRequest) (api.SessionCreated, error) {
-			sess, err := reg.Open(r.Context(), req)
+		func(ctx context.Context, req api.SessionRequest) (api.SessionCreated, error) {
+			sess, err := reg.Open(ctx, req)
 			if err != nil {
 				return api.SessionCreated{}, err
 			}
@@ -37,21 +38,21 @@ func registerItemRoutes[T evlog.Item, S any](mux router, base string, reg *evlog
 	get := func(serve func(w http.ResponseWriter, r *http.Request, item T)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if item, err := reg.Get(r.PathValue("id")); err != nil {
-				writeError(w, statusFor(err), err)
+				api.WriteError(w, statusFor(err), err)
 			} else {
 				serve(w, r, item)
 			}
 		}
 	}
 	mux.HandleFunc("GET "+base+"/{id}", get(func(w http.ResponseWriter, _ *http.Request, item T) {
-		writeJSON(w, http.StatusOK, snapshot(item))
+		api.WriteJSON(w, http.StatusOK, snapshot(item))
 	}))
 	mux.HandleFunc("GET "+base+"/{id}/stream", get(func(w http.ResponseWriter, r *http.Request, item T) {
 		streamEvents(w, r, item.Log())
 	}))
 	mux.HandleFunc("DELETE "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := reg.Delete(r.PathValue("id")); err != nil {
-			writeError(w, statusFor(err), err)
+			api.WriteError(w, statusFor(err), err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

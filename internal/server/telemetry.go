@@ -9,7 +9,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/monitor"
-	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -156,19 +155,19 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // the snapshot-derived families — the same service.Stats and registry
 // snapshots /healthz renders as JSON, so the two views cannot
 // disagree.
-func (ts *telemetrySet) serveMetrics(svc *service.Service, reg *monitor.Registry, creg *campaign.Registry, planner *plan.Planner) http.HandlerFunc {
+func (ts *telemetrySet) serveMetrics(svc *service.Service, reg *monitor.Registry, creg *campaign.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		ts.reg.WritePrometheus(w)
-		writeSnapshotMetrics(w, svc.Stats(), reg, creg, planner)
+		writeSnapshotMetrics(w, svc.Stats(), reg, creg)
 		ts.runtime.Write(telemetry.NewExpo(w))
 	}
 }
 
 // writeSnapshotMetrics renders one service.Stats snapshot (plus the
-// planner and registry gauges) as exposition families, through the
-// same telemetry.Expo formatter the registry uses.
-func writeSnapshotMetrics(w io.Writer, st service.Stats, reg *monitor.Registry, creg *campaign.Registry, planner *plan.Planner) {
+// registry gauges) as exposition families, through the same
+// telemetry.Expo formatter the registry uses.
+func writeSnapshotMetrics(w io.Writer, st service.Stats, reg *monitor.Registry, creg *campaign.Registry) {
 	e := telemetry.NewExpo(w)
 	label := func(k, v string) telemetry.Annotation { return telemetry.Annotation{Key: k, Value: v} }
 
@@ -179,16 +178,15 @@ func writeSnapshotMetrics(w io.Writer, st service.Stats, reg *monitor.Registry, 
 	e.Family("pcserved_infer_items_total", "Infer items accepted (batch items, not batches).", "counter")
 	e.Sample(float64(st.Infers))
 
-	plans, planFollowers := planner.Stats()
 	e.Family("pcserved_plans_total", "Plan requests accepted.", "counter")
-	e.Sample(float64(plans))
+	e.Sample(float64(st.Plans))
 
 	// Coalescing across every flight (measure, analyze items, infer
 	// items, plans): followers joined an identical in-flight execution,
 	// leaders executed.
 	e.Family("pcserved_coalesce_total", "In-flight request coalescing outcomes across all endpoints.", "counter")
-	e.Sample(float64(st.CoalesceLeaders+planner.Leaders()), label("role", "leader"))
-	e.Sample(float64(st.Coalesced+planFollowers), label("role", "follower"))
+	e.Sample(float64(st.CoalesceLeaders), label("role", "leader"))
+	e.Sample(float64(st.Coalesced), label("role", "follower"))
 
 	e.Family("pcserved_calibration_cache_hits_total", "Calibration-cache lookups served warm.", "counter")
 	e.Sample(float64(st.CalibrationHits))

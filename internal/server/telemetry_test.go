@@ -153,15 +153,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := telemetry.LintExposition(bytes.NewReader(text)); err != nil {
 		t.Errorf("/metrics fails the exposition lint:\n%v", err)
 	}
-
-	samples := make(map[string]float64)
-	for _, line := range strings.Split(string(text), "\n") {
-		if fields := strings.Fields(line); len(fields) == 2 && !strings.HasPrefix(line, "#") {
-			// strconv, not JSON: exposition values include NaN and +Inf
-			// (the runtime histograms have no tracked sum).
-			samples[fields[0]], _ = strconv.ParseFloat(fields[1], 64)
-		}
-	}
+	samples := parseSamples(text)
 
 	for name, want := range map[string]float64{
 		`pcserved_http_requests_total{endpoint="/measure"}`: 3,
@@ -181,6 +173,65 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := samples[`pcserved_http_request_duration_seconds_count{endpoint="/measure"}`]; got != 3 {
 		t.Errorf("latency histogram count = %v, want 3", got)
+	}
+}
+
+// parseSamples indexes an exposition's samples by series (name plus
+// labels, as written).
+func parseSamples(text []byte) map[string]float64 {
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(text), "\n") {
+		if fields := strings.Fields(line); len(fields) == 2 && !strings.HasPrefix(line, "#") {
+			// strconv, not JSON: exposition values include NaN and +Inf
+			// (the runtime histograms have no tracked sum).
+			samples[fields[0]], _ = strconv.ParseFloat(fields[1], 64)
+		}
+	}
+	return samples
+}
+
+// TestHealthzCoalescingCoversPlan: /healthz and /metrics report the
+// same coalescing counts, /plan's flight included.
+func TestHealthzCoalescingCoversPlan(t *testing.T) {
+	srv := newTestServer(t)
+	post(t, srv.URL+"/measure", api.MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:700", Runs: 3})
+	if status, body := post(t, srv.URL+"/plan", api.PlanRequest{
+		Measure: api.MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:400"}, TargetRelWidth: 0.2,
+	}); status != http.StatusOK {
+		t.Fatalf("/plan status = %d, body = %s", status, body)
+	}
+
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz: %v", err)
+	}
+	var h api.HealthResponse
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode healthz: %v", err)
+	}
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	expo, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatalf("read metrics: %v", err)
+	}
+	samples := parseSamples(expo)
+
+	leaders, followers := samples[`pcserved_coalesce_total{role="leader"}`], samples[`pcserved_coalesce_total{role="follower"}`]
+	if leaders < 2 {
+		t.Errorf("metrics leaders = %v, want at least the /measure and the /plan", leaders)
+	}
+	if float64(h.Stats.CoalesceLeaders) != leaders || float64(h.Stats.Coalesced) != followers {
+		t.Errorf("healthz coalesceLeaders/coalesced = %d/%d, metrics leader/follower = %v/%v",
+			h.Stats.CoalesceLeaders, h.Stats.Coalesced, leaders, followers)
+	}
+	if got := samples["pcserved_plans_total"]; got != 1 {
+		t.Errorf("plans_total = %v, want 1", got)
 	}
 }
 

@@ -2,9 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
-	"strconv"
-	"sync"
 
 	"repro/internal/accuracy"
 	"repro/internal/api"
@@ -17,91 +14,25 @@ import (
 )
 
 // Analyze serves one batch of analysis items. Items are independent:
-// they run concurrently (each on a worker from its own shard), errors
-// are reported per batch (the lowest-index failing item fails the
-// batch, since a partial analysis would be indistinguishable from a
-// complete one), and results come back in item order. Like Measure, the response for a
-// normalized batch is deterministic, and identical in-flight items are
-// coalesced.
+// they run concurrently (each on a worker from its own shard),
+// identical in-flight items coalesce, the lowest-index failing item
+// fails the batch, and results come back in item order. Like Measure,
+// the response for a normalized batch is deterministic.
 func (s *Service) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.AnalyzeResponse, error) {
-	wantTrace := req.Trace
-	tr := telemetry.FromContext(ctx)
-	if wantTrace && tr == nil {
-		tr = telemetry.New()
-		ctx = telemetry.NewContext(ctx, tr)
-	}
-	sp := tr.Start(telemetry.SpanCanonicalize)
-	norm, err := req.Normalized()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	s.analyzes.Add(uint64(len(norm.Items)))
-
-	resp := &api.AnalyzeResponse{Results: make([]api.AnalyzeResult, len(norm.Items))}
-	var wg sync.WaitGroup
-	errs := make([]error, len(norm.Items))
-	for i, item := range norm.Items {
-		wg.Add(1)
-		go func(i int, item api.AnalyzeItem) {
-			defer wg.Done()
-			res, err := s.analyzeItem(ctx, i, item)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp.Results[i] = *res
-		}(i, item)
-	}
-	wg.Wait()
-	// Report the lowest-index failure so an identical batch fails
-	// identically regardless of goroutine scheduling.
-	for i, err := range errs {
+	return serve(ctx, req, req.Trace, func(ctx context.Context, norm api.AnalyzeRequest) (*api.AnalyzeResponse, error) {
+		results, err := batch(ctx, s.aflight, norm.Items, s.executeAnalyze)
 		if err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, err)
+			return nil, err
 		}
-	}
-	if wantTrace {
-		// The response is assembled fresh per call (only item results are
-		// flight-shared, and those are copied in by value), so the
-		// timing-dependent trace block can be attached directly.
-		resp.Trace = api.TraceInfoFrom(tr)
-	}
-	return resp, nil
-}
-
-// analyzeItem runs one normalized item with in-flight coalescing.
-// Batch coalescing is per item: a followed item records its own
-// coalesce-wait span annotated with the item index, while the batch as
-// a whole is never marked coalesced (other items may have executed).
-func (s *Service) analyzeItem(ctx context.Context, i int, item api.AnalyzeItem) (*api.AnalyzeResult, error) {
-	tr := telemetry.FromContext(ctx)
-	wait := tr.Clock()
-	res, joined, err := s.aflight.Do(ctx, item.Key(), func() (*api.AnalyzeResult, error) {
-		return s.executeAnalyze(ctx, item)
+		return &api.AnalyzeResponse{Results: results}, nil
 	})
-	if joined {
-		s.coalesced.Add(1)
-		tr.AddSince(telemetry.SpanCoalesceWait, wait,
-			telemetry.Annotation{Key: "item", Value: strconv.Itoa(i)})
-	} else {
-		s.leaders.Add(1)
-	}
-	return res, err
 }
 
 // executeAnalyze runs every requested error model of one item on a
 // worker from the item's shard. Each phase starts from a Reset system,
 // so the result is a pure function of the normalized item.
 func (s *Service) executeAnalyze(ctx context.Context, item api.AnalyzeItem) (*api.AnalyzeResult, error) {
-	tr := telemetry.FromContext(ctx)
-	sh, err := s.shard(item.Measure)
-	if err != nil {
-		return nil, err
-	}
-	sp := tr.Start(telemetry.SpanPoolAcquire).Annotate("shard", sh.key)
-	sys, err := sh.checkout(ctx)
-	sp.End()
+	sh, sys, err := s.acquire(ctx, item.Measure, false)
 	if err != nil {
 		return nil, err
 	}
@@ -129,6 +60,8 @@ func (s *Service) executeAnalyze(ctx context.Context, item api.AnalyzeItem) (*ap
 	}
 	res.Expected = bench.ExpectedInstr
 
+	tr := telemetry.FromContext(ctx)
+	var sp *telemetry.Span
 	if item.MpxCounters > 0 {
 		sp = tr.Start(telemetry.SpanEngineRun).Annotate("phase", "multiplexed")
 		err = s.analyzeMultiplexed(ctx, item, sys, bench, res)

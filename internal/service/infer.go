@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"repro/internal/api"
 	"repro/internal/bayes"
@@ -15,71 +14,17 @@ import (
 
 // Infer serves one batch of joint-inference items: per-event Gaussian
 // evidence (measured here or supplied raw) conditioned on the linear
-// event invariants of internal/bayes. Items are independent and run
-// concurrently; like Analyze, the response for a normalized batch is
-// deterministic, identical in-flight items coalesce, and the
-// lowest-index failing item fails the batch.
+// event invariants of internal/bayes. Items run through the same batch
+// path as Analyze: concurrent, coalesced per item, deterministic, and
+// failed by the lowest-index failing item.
 func (s *Service) Infer(ctx context.Context, req api.InferRequest) (*api.InferResponse, error) {
-	wantTrace := req.Trace
-	tr := telemetry.FromContext(ctx)
-	if wantTrace && tr == nil {
-		tr = telemetry.New()
-		ctx = telemetry.NewContext(ctx, tr)
-	}
-	sp := tr.Start(telemetry.SpanCanonicalize)
-	norm, err := req.Normalized()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	s.infers.Add(uint64(len(norm.Items)))
-
-	resp := &api.InferResponse{Results: make([]api.InferResult, len(norm.Items))}
-	var wg sync.WaitGroup
-	errs := make([]error, len(norm.Items))
-	for i, item := range norm.Items {
-		wg.Add(1)
-		go func(i int, item api.InferItem) {
-			defer wg.Done()
-			res, err := s.inferItem(ctx, i, item)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp.Results[i] = *res
-		}(i, item)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	return serve(ctx, req, req.Trace, func(ctx context.Context, norm api.InferRequest) (*api.InferResponse, error) {
+		results, err := batch(ctx, s.iflight, norm.Items, s.executeInfer)
 		if err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, err)
+			return nil, err
 		}
-	}
-	if wantTrace {
-		// Assembled fresh per call (item results copied in by value), so
-		// the trace block can be attached directly.
-		resp.Trace = api.TraceInfoFrom(tr)
-	}
-	return resp, nil
-}
-
-// inferItem runs one normalized item with in-flight coalescing. As in
-// analyzeItem, coalescing is per item: a followed item records its
-// coalesce-wait span with the item index.
-func (s *Service) inferItem(ctx context.Context, i int, item api.InferItem) (*api.InferResult, error) {
-	tr := telemetry.FromContext(ctx)
-	wait := tr.Clock()
-	res, joined, err := s.iflight.Do(ctx, item.Key(), func() (*api.InferResult, error) {
-		return s.executeInfer(ctx, item)
+		return &api.InferResponse{Results: results}, nil
 	})
-	if joined {
-		s.coalesced.Add(1)
-		tr.AddSince(telemetry.SpanCoalesceWait, wait,
-			telemetry.Annotation{Key: "item", Value: strconv.Itoa(i)})
-	} else {
-		s.leaders.Add(1)
-	}
-	return res, err
 }
 
 // executeInfer gathers the item's evidence and conditions it on the
@@ -95,40 +40,28 @@ func (s *Service) executeInfer(ctx context.Context, item api.InferItem) (*api.In
 	means := make([]float64, n)
 	vars := make([]float64, n)
 	ns := make([]int, n)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, in := range item.Inputs {
+	if _, err := fanOut(n, func(i int) error {
+		in := item.Inputs[i]
 		events[i] = in.Event
 		if in.Measure == nil {
 			means[i] = in.Mean
 			vars[i] = in.Variance
 			ns[i] = 1
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(i int, in api.InferInput) {
-			defer wg.Done()
-			resp, err := s.Measure(ctx, *in.Measure)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if resp.Accuracy == nil {
-				errs[i] = fmt.Errorf("service: measurement of %s produced no accuracy annotation", in.Event)
-				return
-			}
-			means[i] = resp.Accuracy.Corrected
-			vars[i] = resp.Accuracy.StdErr * resp.Accuracy.StdErr
-			ns[i] = resp.Accuracy.N
-		}(i, in)
-	}
-	wg.Wait()
-	// Lowest-index failure, so an identical item fails identically
-	// regardless of goroutine scheduling.
-	for _, err := range errs {
+		resp, err := s.Measure(ctx, *in.Measure)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		if resp.Accuracy == nil {
+			return fmt.Errorf("service: measurement of %s produced no accuracy annotation", in.Event)
+		}
+		means[i] = resp.Accuracy.Corrected
+		vars[i] = resp.Accuracy.StdErr * resp.Accuracy.StdErr
+		ns[i] = resp.Accuracy.N
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	model, err := item.Model()

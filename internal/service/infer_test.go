@@ -210,8 +210,8 @@ func TestInferCoalescesConcurrentIdenticalItems(t *testing.T) {
 			t.Fatalf("caller %d diverged:\n%s\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	if svc.infers.Load() != callers {
-		t.Errorf("infer count = %d, want %d", svc.infers.Load(), callers)
+	if got := svc.Stats().Infers; got != callers {
+		t.Errorf("infer count = %d, want %d", got, callers)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	stackpkg "repro/internal/stack"
-	"repro/internal/telemetry"
 )
 
 // PinnedWorker is a worker checked out of its shard for a long-lived
@@ -29,13 +28,7 @@ type PinnedWorker struct {
 // configuration, so callers should bound how many pins they hold (the
 // monitor registry's MaxSessions does this).
 func (s *Service) Pin(ctx context.Context, norm api.MeasureRequest) (*PinnedWorker, error) {
-	sh, err := s.shard(norm)
-	if err != nil {
-		return nil, err
-	}
-	sp := telemetry.StartSpan(ctx, telemetry.SpanPoolAcquire).Annotate("shard", sh.key).Annotate("pin", "true")
-	sys, err := sh.checkout(ctx)
-	sp.End()
+	sh, sys, err := s.acquire(ctx, norm, true)
 	if err != nil {
 		return nil, err
 	}

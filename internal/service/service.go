@@ -77,6 +77,7 @@ type Service struct {
 	flight  *Flight[*api.MeasureResponse]
 	aflight *Flight[*api.AnalyzeResult]
 	iflight *Flight[*api.InferResult]
+	pflight *Flight[*api.PlanResponse]
 
 	expSem chan struct{}
 
@@ -87,11 +88,6 @@ type Service struct {
 	interp   *engine.Interpreter
 	compiled *engine.Compiled
 
-	requests  atomic.Uint64
-	analyzes  atomic.Uint64
-	infers    atomic.Uint64
-	coalesced atomic.Uint64
-	leaders   atomic.Uint64
 	calHits   atomic.Uint64
 	calMisses atomic.Uint64
 	pins      atomic.Uint64
@@ -107,6 +103,7 @@ func New(cfg Config) *Service {
 		flight:   NewFlight[*api.MeasureResponse](),
 		aflight:  NewFlight[*api.AnalyzeResult](),
 		iflight:  NewFlight[*api.InferResult](),
+		pflight:  NewFlight[*api.PlanResponse](),
 		expSem:   make(chan struct{}, cfg.MaxConcurrentExperiments),
 		interp:   engine.NewInterpreter(),
 		compiled: engine.NewCompiled(engine.NewCache(engine.DefaultCacheCapacity)),
@@ -126,61 +123,29 @@ func (s *Service) runnerFor(name string) cpu.Runner {
 // normalized request is deterministic: callers (and the coalescing
 // layer) may treat it as an immutable value.
 func (s *Service) Measure(ctx context.Context, req api.MeasureRequest) (*api.MeasureResponse, error) {
-	// The trace wish is captured before normalization strips it: the
-	// canonical request — and therefore the coalescing key — is always
-	// trace-free, so traced and untraced duplicates share one flight.
-	wantTrace := req.Trace
-	tr := telemetry.FromContext(ctx)
-	if wantTrace && tr == nil {
-		// In-process callers (tests, tools) get a trace without the HTTP
-		// middleware having installed one.
-		tr = telemetry.New()
-		ctx = telemetry.NewContext(ctx, tr)
-	}
-	sp := tr.Start(telemetry.SpanCanonicalize)
-	norm, err := req.Normalized()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	s.requests.Add(1)
-
-	wait := tr.Clock()
-	resp, joined, err := s.flight.Do(ctx, norm.Key(), func() (*api.MeasureResponse, error) {
-		return s.execute(ctx, norm)
+	return serve(ctx, req, req.Trace, func(ctx context.Context, norm api.MeasureRequest) (*api.MeasureResponse, error) {
+		return s.flight.Do(ctx, norm.Key(), func() (*api.MeasureResponse, error) {
+			return s.execute(ctx, norm)
+		})
 	})
-	if joined {
-		s.coalesced.Add(1)
-		// A follower's trace stays truthful: it waited on a leader, it
-		// did not execute, so it records the wait and the coalesced mark
-		// rather than a replay of the leader's execution spans.
-		tr.SetCoalesced()
-		tr.AddSince(telemetry.SpanCoalesceWait, wait)
-	} else {
-		s.leaders.Add(1)
-	}
-	if err != nil || !wantTrace {
-		return resp, err
-	}
-	// The trace block is wall-time and per-caller, so it must never be
-	// written onto the flight-shared response other callers hold: attach
-	// it to a shallow copy.
-	out := *resp
-	out.Trace = api.TraceInfoFrom(tr)
-	return &out, nil
+}
+
+// Plan serves one plan request through the same request path as
+// Measure, with execute (the planner's) running a normalized request
+// once per flight. The service owns the plan flight so its coalescing
+// counts land in the one Stats snapshot both operator views render.
+func (s *Service) Plan(ctx context.Context, req api.PlanRequest, execute func(context.Context, api.PlanRequest) (*api.PlanResponse, error)) (*api.PlanResponse, error) {
+	return serve(ctx, req, req.Trace, func(ctx context.Context, norm api.PlanRequest) (*api.PlanResponse, error) {
+		return s.pflight.Do(ctx, norm.Key(), func() (*api.PlanResponse, error) {
+			return execute(ctx, norm)
+		})
+	})
 }
 
 // execute runs a normalized request on a worker from its shard. Spans
 // land on the flight leader's trace: ctx here is always the leader's.
 func (s *Service) execute(ctx context.Context, norm api.MeasureRequest) (*api.MeasureResponse, error) {
-	tr := telemetry.FromContext(ctx)
-	sh, err := s.shard(norm)
-	if err != nil {
-		return nil, err
-	}
-	sp := tr.Start(telemetry.SpanPoolAcquire).Annotate("shard", sh.key)
-	sys, err := sh.checkout(ctx)
-	sp.End()
+	sh, sys, err := s.acquire(ctx, norm, false)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +170,8 @@ func (s *Service) execute(ctx context.Context, norm api.MeasureRequest) (*api.Me
 	if engineName == "" {
 		engineName = api.EngineCompiled
 	}
-	sp = tr.Start(telemetry.SpanEngineRun).Annotate("engine", engineName)
+	tr := telemetry.FromContext(ctx)
+	sp := tr.Start(telemetry.SpanEngineRun).Annotate("engine", engineName)
 
 	// A reset system measures byte-identically to a fresh one, which is
 	// what makes pooled workers interchangeable.
@@ -321,16 +287,7 @@ func HealthFrom(st Stats) api.HealthResponse {
 		Status:       "ok",
 		Shards:       make([]api.ShardHealth, 0, len(st.Shards)),
 		Calibrations: st.Calibrations,
-		Stats: api.ServiceStats{
-			Requests:          st.Requests,
-			Analyzes:          st.Analyzes,
-			Infers:            st.Infers,
-			Coalesced:         st.Coalesced,
-			CoalesceLeaders:   st.CoalesceLeaders,
-			CalibrationHits:   st.CalibrationHits,
-			CalibrationMisses: st.CalibrationMisses,
-			PinnedWorkers:     st.PinnedWorkers,
-		},
+		Stats:        st.ServiceStats,
 	}
 	if total := st.CalibrationHits + st.CalibrationMisses; total > 0 {
 		h.CalibrationHitRate = float64(st.CalibrationHits) / float64(total)
@@ -387,6 +344,23 @@ func (s *Service) shard(norm api.MeasureRequest) (*shard, error) {
 		return nil, sh.initErr
 	}
 	return sh, nil
+}
+
+// acquire checks a worker out of the shard serving norm's configuration
+// (building the shard on first touch), waiting for one to come free or
+// ctx to end, under a pool-acquire span; pin marks a long-lived holder.
+func (s *Service) acquire(ctx context.Context, norm api.MeasureRequest, pin bool) (*shard, *stackpkg.System, error) {
+	sh, err := s.shard(norm)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp := telemetry.StartSpan(ctx, telemetry.SpanPoolAcquire).Annotate("shard", sh.key)
+	if pin {
+		sp.Annotate("pin", "true")
+	}
+	sys, err := sh.checkout(ctx)
+	sp.End()
+	return sh, sys, err
 }
 
 // shard is one pool of interchangeable systems for a (processor, stack,

@@ -281,11 +281,15 @@ func TestCoalescing(t *testing.T) {
 			t.Errorf("coalesced body %d diverges", i)
 		}
 	}
-	if s.coalesced.Load() == 0 {
+	st := s.Stats()
+	if st.Coalesced == 0 {
 		t.Log("no requests coalesced (all executions missed each other); determinism still verified")
 	}
-	if s.requests.Load() != n {
-		t.Errorf("requests counter = %d, want %d", s.requests.Load(), n)
+	if st.Requests != n {
+		t.Errorf("requests counter = %d, want %d", st.Requests, n)
+	}
+	if st.CoalesceLeaders+st.Coalesced != n {
+		t.Errorf("leaders(%d)+followers(%d) != %d requests", st.CoalesceLeaders, st.Coalesced, n)
 	}
 }
 

@@ -1,6 +1,10 @@
 package service
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/api"
+)
 
 // Stats is the single source of truth behind both operator views of
 // the service: /healthz renders it as JSON (api.HealthResponse) and
@@ -8,23 +12,10 @@ import "sort"
 // means the two views can never disagree about what they report —
 // they can only format it differently.
 type Stats struct {
-	// Requests, Analyzes, and Infers count accepted calls (batch items,
-	// not batches, for the latter two).
-	Requests uint64
-	Analyzes uint64
-	Infers   uint64
-	// Coalesced counts calls served by joining an in-flight identical
-	// request (followers); CoalesceLeaders counts the executions they
-	// joined.
-	Coalesced       uint64
-	CoalesceLeaders uint64
-	// CalibrationHits and CalibrationMisses count calibration-cache
-	// lookups served warm versus computed.
-	CalibrationHits   uint64
-	CalibrationMisses uint64
-	// PinnedWorkers is how many workers long-lived holders (monitoring
-	// sessions, plan executions) currently hold.
-	PinnedWorkers uint64
+	// ServiceStats holds the counters /healthz reports as they are.
+	api.ServiceStats
+	// Plans counts accepted plan requests.
+	Plans uint64
 	// Calibrations is the calibration-cache size summed over shards.
 	Calibrations int
 	// Shards describes every built pool, sorted by key.
@@ -72,15 +63,25 @@ func (s *Service) Stats() Stats {
 	s.mu.Unlock()
 
 	st := Stats{
-		Requests:          s.requests.Load(),
-		Analyzes:          s.analyzes.Load(),
-		Infers:            s.infers.Load(),
-		Coalesced:         s.coalesced.Load(),
-		CoalesceLeaders:   s.leaders.Load(),
-		CalibrationHits:   s.calHits.Load(),
-		CalibrationMisses: s.calMisses.Load(),
-		PinnedWorkers:     s.pins.Load(),
-		Shards:            make([]ShardStats, 0, len(shards)),
+		ServiceStats: api.ServiceStats{
+			CalibrationHits:   s.calHits.Load(),
+			CalibrationMisses: s.calMisses.Load(),
+			PinnedWorkers:     s.pins.Load(),
+		},
+		Shards: make([]ShardStats, 0, len(shards)),
+	}
+	// Every accepted call goes through exactly one flight, as its leader
+	// or as a follower.
+	for _, fl := range []struct {
+		calls *uint64
+		f     interface {
+			Counts() (leaders, followers uint64)
+		}
+	}{{&st.Requests, s.flight}, {&st.Analyzes, s.aflight}, {&st.Infers, s.iflight}, {&st.Plans, s.pflight}} {
+		leaders, followers := fl.f.Counts()
+		*fl.calls = leaders + followers
+		st.CoalesceLeaders += leaders
+		st.Coalesced += followers
 	}
 	for _, sh := range shards {
 		idle := len(sh.workers)

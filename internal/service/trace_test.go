@@ -3,8 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/telemetry"
@@ -103,86 +103,169 @@ func TestMeasureTraceOptIn(t *testing.T) {
 	}
 }
 
-// TestMeasureTraceCoalescedFollower checks follower truthfulness: when
-// traced and untraced callers coalesce onto one flight, each follower's
-// trace says coalesced=true and records its own coalesce-wait rather
-// than replaying the leader's execution spans — while the response
-// bodies stay byte-identical after stripping the trace.
+// traceOf decodes the trace block of a marshaled response, nil when
+// it carries none.
+func traceOf(t *testing.T, v any) *api.TraceInfo {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var out struct {
+		Trace *api.TraceInfo `json:"trace"`
+	}
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	return out.Trace
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestMeasureTraceCoalescedFollower checks follower truthfulness on all
+// four coalesced endpoints. The leader is held at its worker checkout
+// until a traced follower has joined its flight, so the join is forced,
+// not hoped for. A whole-request follower (/measure, /plan) is marked
+// coalesced and records its own coalesce-wait, never a replay of the
+// leader's execution spans. A batch follower (/analyze, /infer)
+// records each followed item's wait with the item index, and the batch
+// is never marked coalesced. Bodies stay byte-identical after
+// stripping the trace.
 func TestMeasureTraceCoalescedFollower(t *testing.T) {
-	s := New(Config{WorkersPerShard: 1})
-	req := api.MeasureRequest{
-		Processor: "PD", Stack: "pc", Bench: "loop:5000", Pattern: "rr", Runs: 8,
+	m := api.MeasureRequest{Processor: "K8", Stack: "pc", Bench: "loop:1000", Pattern: "rr", Runs: 2}
+	norm, err := m.Normalized()
+	if err != nil {
+		t.Fatal(err)
 	}
-	traced := req
-	traced.Trace = true
-
-	const n = 16
-	resps := make([]*api.MeasureResponse, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := req
-			if i%2 == 0 {
-				r = traced
-			}
-			resp, err := s.Measure(context.Background(), r)
+	type flight interface {
+		Len() int
+		Counts() (leaders, followers uint64)
+	}
+	cases := []struct {
+		name   string
+		whole  bool
+		flight func(*Service) flight
+		call   func(s *Service, sh *shard, traced bool) (any, error)
+	}{
+		{"measure", true, func(s *Service) flight { return s.flight },
+			func(s *Service, _ *shard, traced bool) (any, error) {
+				req := m
+				req.Trace = traced
+				return s.Measure(context.Background(), req)
+			}},
+		{"plan", true, func(s *Service) flight { return s.pflight },
+			func(s *Service, sh *shard, traced bool) (any, error) {
+				req := api.PlanRequest{Measure: m, TargetRelWidth: 0.2, Trace: traced}
+				return s.Plan(context.Background(), req, func(ctx context.Context, norm api.PlanRequest) (*api.PlanResponse, error) {
+					sp := telemetry.StartSpan(ctx, telemetry.SpanPoolAcquire)
+					sys, err := sh.checkout(ctx)
+					sp.End()
+					if err != nil {
+						return nil, err
+					}
+					sh.checkin(sys)
+					telemetry.StartSpan(ctx, telemetry.SpanFuse).End()
+					return &api.PlanResponse{Attained: true}, nil
+				})
+			}},
+		{"analyze", false, func(s *Service) flight { return s.aflight },
+			func(s *Service, _ *shard, traced bool) (any, error) {
+				req := api.AnalyzeRequest{Items: []api.AnalyzeItem{{Measure: m}}, Trace: traced}
+				return s.Analyze(context.Background(), req)
+			}},
+		{"infer", false, func(s *Service) flight { return s.iflight },
+			func(s *Service, _ *shard, traced bool) (any, error) {
+				req := api.InferRequest{Items: []api.InferItem{{Inputs: []api.InferInput{
+					{Measure: &m},
+					{Event: "CPU_CLK_UNHALTED", Mean: 2000, Variance: 400},
+				}}}, Trace: traced}
+				return s.Infer(context.Background(), req)
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{WorkersPerShard: 1, CalibrationRuns: 3})
+			sh, err := s.shard(norm)
 			if err != nil {
-				t.Errorf("Measure: %v", err)
-				return
+				t.Fatal(err)
 			}
-			resps[i] = resp
-		}(i)
-	}
-	wg.Wait()
-
-	want := stripTrace(t, resps[0])
-	followers := 0
-	for i, resp := range resps {
-		if resp == nil {
-			t.Fatal("missing response")
-		}
-		if got := stripTrace(t, resp); got != want {
-			t.Errorf("response %d diverges after stripping trace", i)
-		}
-		if i%2 == 1 {
-			if resp.Trace != nil {
-				t.Errorf("untraced caller %d received a trace block", i)
+			// Hold the shard's only worker: the leader blocks at checkout.
+			sys, err := sh.checkout(context.Background())
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if resp.Trace == nil {
-			t.Errorf("traced caller %d received no trace block", i)
-			continue
-		}
-		if !resp.Trace.Coalesced {
-			continue // this caller led its flight
-		}
-		followers++
-		names := spanNames(resp.Trace)
-		if !names[telemetry.SpanCoalesceWait] {
-			t.Errorf("coalesced follower %d has no coalesce-wait span", i)
-		}
-		// A follower never executed: the leader's execution spans must
-		// not appear replayed in its trace.
-		for _, leaderOnly := range []string{
-			telemetry.SpanPoolAcquire, telemetry.SpanEngineRun, telemetry.SpanCorrect,
-		} {
-			if names[leaderOnly] {
-				t.Errorf("coalesced follower %d replays leader span %q", i, leaderOnly)
+			type result struct {
+				resp any
+				err  error
 			}
-		}
-	}
-	if followers == 0 {
-		t.Log("no traced caller coalesced (executions missed each other); strip-identity still verified")
-	}
-	if s.leaders.Load() == 0 {
-		t.Error("leader counter never incremented")
-	}
-	if s.leaders.Load()+s.coalesced.Load() != n {
-		t.Errorf("leaders(%d)+followers(%d) != %d requests",
-			s.leaders.Load(), s.coalesced.Load(), n)
+			run := func(traced bool) <-chan result {
+				ch := make(chan result, 1)
+				go func() {
+					resp, err := tc.call(s, sh, traced)
+					ch <- result{resp, err}
+				}()
+				return ch
+			}
+			f := tc.flight(s)
+			leaderDone := run(false)
+			waitFor(t, "the leader's flight", func() bool { return f.Len() > 0 })
+			followerDone := run(true)
+			waitFor(t, "the follower to join", func() bool { _, n := f.Counts(); return n > 0 })
+			sh.checkin(sys)
+			leader, follower := <-leaderDone, <-followerDone
+			if leader.err != nil || follower.err != nil {
+				t.Fatalf("leader err %v, follower err %v", leader.err, follower.err)
+			}
+			if leaders, followers := f.Counts(); leaders != 1 || followers != 1 {
+				t.Errorf("flight counts leaders=%d followers=%d, want 1 and 1", leaders, followers)
+			}
+			if got, want := stripTrace(t, follower.resp), stripTrace(t, leader.resp); got != want {
+				t.Errorf("follower body diverges after stripping trace:\n got %s\nwant %s", got, want)
+			}
+			if traceOf(t, leader.resp) != nil {
+				t.Error("untraced leader received a trace block")
+			}
+			tr := traceOf(t, follower.resp)
+			if tr == nil {
+				t.Fatal("traced follower received no trace block")
+			}
+			if tr.Coalesced != tc.whole {
+				t.Errorf("follower coalesced = %v, want %v", tr.Coalesced, tc.whole)
+			}
+			wantItem := "0" // the batch's only item
+			if tc.whole {
+				wantItem = ""
+			}
+			waits := 0
+			for _, sp := range tr.Spans {
+				switch sp.Name {
+				case telemetry.SpanCoalesceWait:
+					waits++
+					if got := sp.Annotations["item"]; got != wantItem {
+						t.Errorf("coalesce-wait item annotation %q, want %q", got, wantItem)
+					}
+				case telemetry.SpanPoolAcquire, telemetry.SpanCalibrate, telemetry.SpanEngineRun,
+					telemetry.SpanCorrect, telemetry.SpanFuse, telemetry.SpanInferSolve:
+					// A follower never executed: the leader's execution
+					// spans must not appear replayed in its trace.
+					t.Errorf("follower replays leader span %q", sp.Name)
+				}
+			}
+			if waits != 1 {
+				t.Errorf("follower has %d coalesce-wait spans, want 1 (spans %+v)", waits, tr.Spans)
+			}
+			if !spanNames(tr)[telemetry.SpanCanonicalize] {
+				t.Error("follower has no canonicalize span")
+			}
+		})
 	}
 }
 

@@ -123,6 +123,17 @@ type Registry struct {
 	families map[string]*family
 }
 
+// EndpointLabel derives the endpoint metric label from a route
+// pattern: the path template with the method dropped ("POST /measure"
+// becomes "/measure"). Wildcards stay as templates ("/sessions/{id}"),
+// so label cardinality is bounded by the route table, never by URLs.
+func EndpointLabel(pattern string) string {
+	if _, path, ok := strings.Cut(pattern, " "); ok {
+		return path
+	}
+	return pattern
+}
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
