@@ -129,7 +129,7 @@ func (r MeasureRequest) Normalized() (MeasureRequest, error) {
 	if bench.Iterations > MaxBenchIterations {
 		return r, badf("api: benchmark size %d exceeds limit %d", bench.Iterations, MaxBenchIterations)
 	}
-	r.Bench = canonicalBenchSpec(bench)
+	r.Bench = bench.Spec
 	if r.Pattern == "" {
 		r.Pattern = DefaultPattern
 	}
@@ -477,18 +477,6 @@ func ParseBench(spec string) (*core.Benchmark, error) {
 		return p.Benchmark(), nil
 	}
 	return nil, fmt.Errorf("api: unknown benchmark %q (want null, loop:N, array:N, gen:v1:class:seed:scale)", spec)
-}
-
-// canonicalBenchSpec renders a benchmark back to its wire spelling.
-// Only the null benchmark spells bare: a zero-iteration loop/array
-// must keep its ":0" or the canonical form would not re-parse (caught
-// by the api fuzz tests). A generated benchmark's name is already its
-// canonical spec, scale rendered explicitly.
-func canonicalBenchSpec(b *core.Benchmark) string {
-	if b.Name == "null" || strings.HasPrefix(b.Name, "gen:") {
-		return b.Name
-	}
-	return fmt.Sprintf("%s:%d", b.Name, b.Iterations)
 }
 
 // ParsePattern parses a two-letter pattern code (ar, ao, rr, ro).

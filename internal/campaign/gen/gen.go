@@ -183,8 +183,10 @@ func (p *Program) Raw() *isa.Program {
 // spec, which is also its wire spelling.
 func (p *Program) Benchmark() *core.Benchmark {
 	code := p.Code
+	spec := p.Spec()
 	return &core.Benchmark{
-		Name: p.Spec(),
+		Name: spec,
+		Spec: spec,
 		Emit: func(b *isa.Builder) {
 			off := b.Pos()
 			for _, in := range code {

@@ -401,6 +401,103 @@ func TestFrontSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestFrontIDsUniqueAcrossNodes opens at least two sessions and two
+// campaigns on every node through the front, then reads each one back
+// through the front: its snapshot must echo its own configuration and
+// its stream must equal the owning node's. Nodes that minted the same
+// IDs would collide in the front's pin table, and the later creation
+// would answer for the earlier one.
+func TestFrontIDsUniqueAcrossNodes(t *testing.T) {
+	f, front, _ := newFleet(t, 3, nil)
+	kinds := []struct {
+		path string
+		body func(i int) any
+	}{
+		{"/sessions", func(i int) any {
+			return api.SessionRequest{
+				Measure: api.MeasureRequest{Processor: "K8", Stack: "pc", Bench: fmt.Sprintf("loop:%d", 1000+i), Pattern: "rr"},
+				Steps:   4,
+			}
+		}},
+		{"/campaigns", func(i int) any {
+			return api.CampaignRequest{Seed: uint64(i + 1), Programs: 1, Processors: []string{"K8"}, Runs: 2,
+				InferEvery: -1, PlanEvery: -1, EngineEvery: -1}
+		}},
+	}
+	readStream := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+		}
+		return string(data)
+	}
+	for _, k := range kinds {
+		type item struct {
+			id, owner string
+			config    json.RawMessage
+		}
+		var items []item
+		perNode := make(map[string]int)
+		enough := func() bool {
+			for _, n := range f.c.nodes {
+				if perNode[n.Name] < 2 {
+					return false
+				}
+			}
+			return true
+		}
+		for i := 0; i < 40 && !enough(); i++ {
+			resp, body := postJSON(t, front.URL+k.path, k.body(i))
+			var created struct {
+				ID     string          `json:"id"`
+				Config json.RawMessage `json:"config"`
+			}
+			if resp.StatusCode != http.StatusCreated || json.Unmarshal(body, &created) != nil {
+				t.Fatalf("POST %s: status %d: %s", k.path, resp.StatusCode, body)
+			}
+			owner := resp.Header.Get(api.HeaderBackend)
+			perNode[owner]++
+			items = append(items, item{created.ID, owner, created.Config})
+			// Let it finish, so the per-node active bound never refuses
+			// the next one.
+			readStream(front.URL + k.path + "/" + created.ID + "/stream")
+		}
+		if !enough() {
+			t.Fatalf("%s: want at least 2 per node, got %v", k.path, perNode)
+		}
+		for _, it := range items {
+			resp, err := http.Get(front.URL + k.path + "/" + it.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap struct {
+				Config json.RawMessage `json:"config"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&snap)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s/%s: status %d, %v", k.path, it.id, resp.StatusCode, err)
+			}
+			if got := resp.Header.Get(api.HeaderBackend); got != it.owner {
+				t.Errorf("GET %s/%s went to %s, created on %s", k.path, it.id, got, it.owner)
+			}
+			if !bytes.Equal(snap.Config, it.config) {
+				t.Errorf("GET %s/%s echoed config %s, created with %s", k.path, it.id, snap.Config, it.config)
+			}
+			path := k.path + "/" + it.id + "/stream"
+			if via, direct := readStream(front.URL+path), readStream(f.c.byName[it.owner].Base+path); via != direct {
+				t.Errorf("%s through the front differs from its owner's stream", path)
+			}
+		}
+	}
+}
+
 // TestFrontOwnerDiscovery: a front with no pin for an id (a restarted
 // pcfront) finds the owning node by probing the fleet.
 func TestFrontOwnerDiscovery(t *testing.T) {

@@ -13,6 +13,11 @@ import (
 type Benchmark struct {
 	// Name identifies the benchmark ("null", "loop").
 	Name string
+	// Spec is the benchmark's canonical wire spelling ("null",
+	// "loop:1000", "array:500", a gen: spec): equal specs emit
+	// identical bodies, which is what lets a HarnessCache share one
+	// harness between them. A benchmark without one is never cached.
+	Spec string
 	// Emit appends the benchmark body.
 	Emit func(b *isa.Builder)
 	// ExpectedInstr is the exact instruction count the body retires.
@@ -35,6 +40,7 @@ func (bm *Benchmark) String() string {
 func NullBenchmark() *Benchmark {
 	return &Benchmark{
 		Name:          "null",
+		Spec:          "null",
 		Emit:          func(b *isa.Builder) {},
 		ExpectedInstr: 0,
 	}
@@ -72,6 +78,7 @@ func LoopBenchmark(iters int64) *Benchmark {
 	}
 	return &Benchmark{
 		Name: "loop",
+		Spec: fmt.Sprintf("loop:%d", iters),
 		Emit: func(b *isa.Builder) {
 			init := isa.ALU()
 			init.Size = loopInitBytes
@@ -119,6 +126,7 @@ func ArrayBenchmark(iters int64) *Benchmark {
 	}
 	return &Benchmark{
 		Name: "array",
+		Spec: fmt.Sprintf("array:%d", iters),
 		Emit: func(b *isa.Builder) {
 			init := isa.ALU()
 			init.Size = loopInitBytes

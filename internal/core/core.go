@@ -109,6 +109,11 @@ type Infrastructure interface {
 	Name() string
 	// Backend is "pm" (perfmon2) or "pc" (perfctr).
 	Backend() string
+	// HarnessKey names every input the Emit methods read apart from
+	// the counter count: two infrastructures with equal keys and equal
+	// NumCounters emit identical code, so a HarnessCache may share
+	// their harnesses.
+	HarnessKey() string
 
 	// Setup programs the requested counters (events and privilege
 	// gating) and leaves them disabled at zero, as the real stacks'

@@ -32,6 +32,10 @@ type Request struct {
 	// selects the process default (the compiled engine). Both engines
 	// produce byte-identical measurements — see internal/engine.
 	Runner cpu.Runner
+	// Harnesses supplies the harness program; nil builds it afresh.
+	// Cached and fresh harnesses are identical programs, so the choice
+	// affects throughput only.
+	Harnesses *HarnessCache
 }
 
 // withDefaults fills unset fields.
@@ -70,8 +74,9 @@ func (m *Measurement) Error(i int, mode MeasureMode) int64 {
 
 // Measure performs one measurement of req on the infrastructure bound
 // to kernel k. It configures the counters, assembles the harness
-// program (glue + pattern calls + benchmark), runs it, and extracts the
-// per-counter deltas from the capture log.
+// program (glue + pattern calls + benchmark) or takes it from
+// req.Harnesses, runs it, and extracts the per-counter deltas from the
+// capture log.
 func Measure(k *kernel.Kernel, infra Infrastructure, req Request) (*Measurement, error) {
 	req = req.withDefaults()
 	if !req.Pattern.SupportedBy(infra) {
@@ -86,7 +91,7 @@ func Measure(k *kernel.Kernel, infra Infrastructure, req Request) (*Measurement,
 		return nil, err
 	}
 
-	prog, err := BuildHarness(infra, req)
+	prog, err := req.Harnesses.Get(infra, req)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package evlog
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -56,7 +57,7 @@ type Item interface {
 // RegistryConfig sizes a registry.
 type RegistryConfig struct {
 	// Pkg and Noun word the registry's errors and IDs: Pkg "monitor" and
-	// Noun "session" give "monitor: no such session: s1".
+	// Noun "session" give "monitor: no such session: s1-9f86d081".
 	Pkg, Noun string
 	// MaxActive bounds items still producing. Finished items stay
 	// queryable without counting against it; their retention is bounded
@@ -77,6 +78,11 @@ type RegistryConfig struct {
 // drain on shutdown. It is safe for concurrent use.
 type Registry[T Item] struct {
 	cfg RegistryConfig
+
+	// idTag is a random suffix on every ID this registry mints, so two
+	// nodes' registries (behind one front, which pins routes by bare ID)
+	// never hand out the same ID.
+	idTag string
 
 	mu     sync.Mutex
 	items  map[string]T
@@ -100,7 +106,7 @@ func NewRegistry[T Item](cfg RegistryConfig) *Registry[T] {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	r := &Registry[T]{cfg: cfg, items: make(map[string]T)}
+	r := &Registry[T]{cfg: cfg, idTag: fmt.Sprintf("%08x", rand.Uint32()), items: make(map[string]T)}
 	if cfg.SweepInterval > 0 {
 		r.janitorStop = make(chan struct{})
 		r.janitorDone = make(chan struct{})
@@ -155,7 +161,7 @@ func (r *Registry[T]) Open(build func(id string) (T, error)) (T, error) {
 		return zero, err
 	}
 	r.nextID++
-	id := fmt.Sprintf("%c%d", r.cfg.Noun[0], r.nextID)
+	id := fmt.Sprintf("%c%d-%s", r.cfg.Noun[0], r.nextID, r.idTag)
 	r.mu.Unlock()
 
 	item, err := build(id)

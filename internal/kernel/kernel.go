@@ -212,10 +212,17 @@ func (k *Kernel) RegisterSyscall(nr int, owner string, handler *isa.Program) err
 // UpdateSyscall installs or replaces the handler at nr. Replacement is
 // allowed only for the owning extension; extensions regenerate their
 // handlers when a measurement context is reconfigured (the handler code
-// paths depend on how many counters are in use).
+// paths depend on how many counters are in use). Programs are
+// immutable, so the owner reinstalling the handler already at nr — the
+// interned handlers every Setup of an unchanged selection installs —
+// is a no-op; every other handler is validated.
 func (k *Kernel) UpdateSyscall(nr int, owner string, handler *isa.Program) error {
-	if prev, ok := k.syscalls[nr]; ok && prev != owner {
+	prev, ok := k.syscalls[nr]
+	if ok && prev != owner {
 		return fmt.Errorf("%w: %d (owner %s)", ErrSyscallTaken, nr, prev)
+	}
+	if ok && k.Core.Syscalls[nr] == handler {
+		return nil
 	}
 	if err := handler.Validate(false); err != nil {
 		return fmt.Errorf("kernel: invalid handler for syscall %d: %v", nr, err)

@@ -43,6 +43,33 @@ func TestRegisterSyscall(t *testing.T) {
 	}
 }
 
+// TestUpdateSyscallValidatesNewHandlersOnly: the owner reinstalling the
+// handler already at nr skips validation, while every other handler —
+// a new pointer, even with identical code — is validated.
+func TestUpdateSyscallValidatesNewHandlersOnly(t *testing.T) {
+	k := New(cpu.Athlon64X2)
+	h := isa.NewBuilder("sys_a", 0xffff0000).ALUBlock(5).Emit(isa.SysRet()).Build()
+	if err := k.UpdateSyscall(100, "perfctr", h); err != nil {
+		t.Fatal(err)
+	}
+	// Break the installed program behind the kernel's back: a
+	// reinstall of the same pointer must not look at it again.
+	h.Code = h.Code[:len(h.Code)-1]
+	if err := k.UpdateSyscall(100, "perfctr", h); err != nil {
+		t.Errorf("reinstalling the installed handler: %v", err)
+	}
+	if err := k.UpdateSyscall(100, "perfmon", h); !errors.Is(err, ErrSyscallTaken) {
+		t.Errorf("another owner reinstalling: %v, want ErrSyscallTaken", err)
+	}
+	copied := &isa.Program{Name: h.Name, Base: h.Base, Code: h.Code}
+	if err := k.UpdateSyscall(100, "perfctr", copied); err == nil {
+		t.Error("a new invalid handler was accepted")
+	}
+	if k.Core.Syscalls[100] != h {
+		t.Error("a rejected handler replaced the installed one")
+	}
+}
+
 func TestTickDeliversKernelInstructions(t *testing.T) {
 	k := New(cpu.Core2Duo)
 	c := k.Core

@@ -140,12 +140,13 @@ var (
 type PAPI struct {
 	backend core.Infrastructure
 	level   Level
+	key     string
 }
 
 // New returns a PAPI layer over the given backend (a *perfctr.Perfctr
 // or *perfmon.Perfmon context).
 func New(backend core.Infrastructure, level Level) *PAPI {
-	return &PAPI{backend: backend, level: level}
+	return &PAPI{backend: backend, level: level, key: level.String() + "/" + backend.HarnessKey()}
 }
 
 // Name returns the paper's stack code: PLpm, PLpc, PHpm, or PHpc.
@@ -159,6 +160,9 @@ func (p *PAPI) Name() string {
 
 // Backend returns the substrate code ("pm" or "pc").
 func (p *PAPI) Backend() string { return p.backend.Backend() }
+
+// HarnessKey names the level and the backend's key.
+func (p *PAPI) HarnessKey() string { return p.key }
 
 // Level returns the API layer.
 func (p *PAPI) Level() Level { return p.level }

@@ -38,6 +38,7 @@ const extName = "perfctr"
 type Perfctr struct {
 	k       *kernel.Kernel
 	withTSC bool
+	key     string
 	vset    *vcounter.Set
 	specs   []core.CounterSpec
 	mask    uint64
@@ -47,7 +48,7 @@ type Perfctr struct {
 // libperfctr context. withTSC selects whether the TSC is included in the
 // counter selection, enabling the fast user-mode read path.
 func New(k *kernel.Kernel, withTSC bool) (*Perfctr, error) {
-	p := &Perfctr{k: k, withTSC: withTSC}
+	p := &Perfctr{k: k, withTSC: withTSC, key: fmt.Sprintf("pc/%s/tsc=%t", k.Model().Tag, withTSC)}
 	k.InstallTickWork(tickWork[k.Model().Tag], skewBias)
 	k.AddSwitchHook(p)
 	if err := p.installHandlers(0); err != nil {
@@ -79,6 +80,10 @@ func (p *Perfctr) Name() string { return "pc" }
 
 // Backend returns "pc".
 func (p *Perfctr) Backend() string { return "pc" }
+
+// HarnessKey names the model (the fast read's costs) and the TSC flag
+// (which read path EmitRead takes).
+func (p *Perfctr) HarnessKey() string { return p.key }
 
 // NumCounters returns the configured counter count.
 func (p *Perfctr) NumCounters() int { return len(p.specs) }

@@ -36,6 +36,7 @@ const extName = "perfmon"
 // core.Infrastructure as the paper's "pm" configuration.
 type Perfmon struct {
 	k     *kernel.Kernel
+	key   string
 	vset  *vcounter.Set
 	specs []core.CounterSpec
 	mask  uint64
@@ -44,7 +45,7 @@ type Perfmon struct {
 // New installs the perfmon2 extension into the kernel and returns the
 // libpfm context.
 func New(k *kernel.Kernel) (*Perfmon, error) {
-	p := &Perfmon{k: k}
+	p := &Perfmon{k: k, key: "pm/" + k.Model().Tag}
 	k.InstallTickWork(tickWork[k.Model().Tag], skewBias)
 	k.AddSwitchHook(p)
 	if err := p.installHandlers(0); err != nil {
@@ -72,6 +73,9 @@ func (p *Perfmon) Name() string { return "pm" }
 
 // Backend returns "pm".
 func (p *Perfmon) Backend() string { return "pm" }
+
+// HarnessKey names the model.
+func (p *Perfmon) HarnessKey() string { return p.key }
 
 // NumCounters returns the configured counter count.
 func (p *Perfmon) NumCounters() int { return len(p.specs) }

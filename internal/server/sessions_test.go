@@ -214,10 +214,14 @@ func TestRegistryLimitsAndDrainOverHTTP(t *testing.T) {
 			}
 		}
 	}
+	ids := make(map[string]string, len(long))
 	for path, req := range long {
-		if status, body := post(t, srv.URL+path, req); status != http.StatusCreated {
+		status, body := post(t, srv.URL+path, req)
+		var created struct{ ID string }
+		if status != http.StatusCreated || json.Unmarshal(body, &created) != nil || created.ID == "" {
 			t.Fatalf("POST %s: status %d body %s", path, status, body)
 		}
+		ids[path] = created.ID
 	}
 	wantRefused(full)
 	var h api.HealthResponse
@@ -229,8 +233,8 @@ func TestRegistryLimitsAndDrainOverHTTP(t *testing.T) {
 
 	// Once the session's drained end event is written, the campaign must
 	// already have ended.
-	sess, _ := node.reg.Get("s1")
-	camp, _ := node.creg.Get("c1")
+	sess, _ := node.reg.Get(ids["/sessions"])
+	camp, _ := node.creg.Get(ids["/campaigns"])
 	campaignFirst := make(chan bool, 1)
 	go func() {
 		log := sess.Log()

@@ -63,6 +63,53 @@ func BenchmarkMeasureUncalibrated(b *testing.B) {
 	}
 }
 
+// hotMix is the measure-hot workload's request mix: pcload's default
+// (processor, stack) configurations, each with every benchmark and
+// pattern it supports, calibrated, three runs.
+func hotMix() []api.MeasureRequest {
+	var mix []api.MeasureRequest
+	for _, cfg := range [][2]string{{"K8", "pc"}, {"K8", "pm"}, {"CD", "pc"}, {"CD", "PHpm"}} {
+		for _, bench := range []string{"null", "loop:1000", "loop:10000", "array:500"} {
+			for _, pat := range []string{"ar", "ao", "rr", "ro"} {
+				// The PAPI high-level stacks reset on read, so they
+				// cannot express rr/ro: those slots go to ar/ao.
+				if cfg[1] == "PHpm" && pat[0] == 'r' {
+					pat = "a" + pat[1:]
+				}
+				mix = append(mix, api.MeasureRequest{
+					Processor: cfg[0], Stack: cfg[1], Bench: bench, Pattern: pat,
+					Runs: 3, Calibrate: true,
+				})
+			}
+		}
+	}
+	return mix
+}
+
+// BenchmarkMeasureHotMix serves the 64-request measure-hot mix on warm
+// calibration, compile and harness caches, one fresh seed per request
+// so nothing coalesces: the fixed per-request cost of a warm
+// configuration. One op is one request.
+func BenchmarkMeasureHotMix(b *testing.B) {
+	ctx := context.Background()
+	s := New(Config{})
+	mix := hotMix()
+	for _, req := range mix {
+		if _, err := s.Measure(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := mix[i%len(mix)]
+		req.Seed = uint64(i + 1)
+		if _, err := s.Measure(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTelemetryOverhead compares /measure with telemetry disabled
 // (no trace in the context — the production default for untraced
 // callers before the server middleware, and the path the acceptance

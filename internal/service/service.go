@@ -87,6 +87,11 @@ type Service struct {
 	// per program, not once per worker.
 	interp   *engine.Interpreter
 	compiled *engine.Compiled
+	// harnesses is shared by every shard's systems for the same
+	// reason, bounded like the compile cache whose pointer index its
+	// programs hit. It is per service, so a fresh service builds and
+	// validates every harness from cold.
+	harnesses *core.HarnessCache
 
 	calHits   atomic.Uint64
 	calMisses atomic.Uint64
@@ -98,15 +103,16 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	return &Service{
-		cfg:      cfg,
-		shards:   make(map[string]*shard),
-		flight:   NewFlight[*api.MeasureResponse](),
-		aflight:  NewFlight[*api.AnalyzeResult](),
-		iflight:  NewFlight[*api.InferResult](),
-		pflight:  NewFlight[*api.PlanResponse](),
-		expSem:   make(chan struct{}, cfg.MaxConcurrentExperiments),
-		interp:   engine.NewInterpreter(),
-		compiled: engine.NewCompiled(engine.NewCache(engine.DefaultCacheCapacity)),
+		cfg:       cfg,
+		shards:    make(map[string]*shard),
+		flight:    NewFlight[*api.MeasureResponse](),
+		aflight:   NewFlight[*api.AnalyzeResult](),
+		iflight:   NewFlight[*api.InferResult](),
+		pflight:   NewFlight[*api.PlanResponse](),
+		expSem:    make(chan struct{}, cfg.MaxConcurrentExperiments),
+		interp:    engine.NewInterpreter(),
+		compiled:  engine.NewCompiled(engine.NewCache(engine.DefaultCacheCapacity)),
+		harnesses: core.NewHarnessCache(engine.DefaultCacheCapacity),
 	}
 }
 
@@ -326,11 +332,15 @@ func (s *Service) shard(norm api.MeasureRequest) (*shard, error) {
 	sh, ok := s.shards[key]
 	if !ok {
 		sh = &shard{
-			key:     key,
-			proc:    norm.Processor,
-			stack:   norm.Stack,
-			withTSC: !norm.NoTSC,
-			engine:  s.compiled,
+			key:   key,
+			proc:  norm.Processor,
+			stack: norm.Stack,
+			opts: stackpkg.Options{
+				WithTSC:   !norm.NoTSC,
+				Governor:  kernel.Performance,
+				Engine:    s.compiled,
+				Harnesses: s.harnesses,
+			},
 			size:    s.cfg.WorkersPerShard,
 			workers: make(chan *stackpkg.System, s.cfg.WorkersPerShard),
 			cal:     make(map[string]*calEntry),
@@ -369,8 +379,7 @@ type shard struct {
 	key     string
 	proc    string
 	stack   string
-	withTSC bool
-	engine  cpu.Runner
+	opts    stackpkg.Options // the service's engine and harness cache
 	size    int
 	workers chan *stackpkg.System
 
@@ -396,9 +405,8 @@ func (sh *shard) build() {
 		sh.initErr = err
 		return
 	}
-	opts := stackpkg.Options{WithTSC: sh.withTSC, Governor: kernel.Performance, Engine: sh.engine}
 	for i := 0; i < sh.size; i++ {
-		sys, err := stackpkg.New(model, sh.stack, opts)
+		sys, err := stackpkg.New(model, sh.stack, sh.opts)
 		if err != nil {
 			sh.initErr = err
 			return

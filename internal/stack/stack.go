@@ -34,6 +34,9 @@ type System struct {
 	// Engine is the execution engine measurements run on when the
 	// request does not pin one; nil selects the process default.
 	Engine cpu.Runner
+	// Harnesses caches harness programs for measurements whose request
+	// brings no cache; nil builds each afresh.
+	Harnesses *core.HarnessCache
 }
 
 // Options configure system construction.
@@ -50,6 +53,10 @@ type Options struct {
 	// conformance-tested to be byte-identical, so the choice affects
 	// throughput only.
 	Engine cpu.Runner
+	// Harnesses is the harness cache for this system's measurements
+	// (nil: build every harness afresh). A cache may be shared by many
+	// systems; like the engine, it affects throughput only.
+	Harnesses *core.HarnessCache
 }
 
 // DefaultOptions is the study's configuration.
@@ -82,7 +89,7 @@ func New(model *cpu.Model, code string, opts Options) (*System, error) {
 	case "PH":
 		infra = papi.New(backend, papi.High)
 	}
-	return &System{Kernel: k, Infra: infra, Code: code, TSC: opts.WithTSC, Engine: opts.Engine}, nil
+	return &System{Kernel: k, Infra: infra, Code: code, TSC: opts.WithTSC, Engine: opts.Engine, Harnesses: opts.Harnesses}, nil
 }
 
 // backendOf extracts the substrate code ("pm" or "pc").
@@ -110,18 +117,24 @@ func (s *System) Reset() {
 }
 
 // Measure runs one measurement on this system. Requests that do not
-// pin an engine run on the system's engine.
+// pin an engine or a harness cache use the system's.
 func (s *System) Measure(req core.Request) (*core.Measurement, error) {
-	if req.Runner == nil {
-		req.Runner = s.Engine
-	}
-	return core.Measure(s.Kernel, s.Infra, req)
+	return core.Measure(s.Kernel, s.Infra, s.bind(req))
 }
 
 // MeasureN runs n repetitions and returns counter 0's per-run error.
 func (s *System) MeasureN(req core.Request, n int, seedBase uint64) ([]int64, error) {
+	return core.MeasureN(s.Kernel, s.Infra, s.bind(req), n, seedBase)
+}
+
+// bind fills the request's unset engine and harness cache with the
+// system's.
+func (s *System) bind(req core.Request) core.Request {
 	if req.Runner == nil {
 		req.Runner = s.Engine
 	}
-	return core.MeasureN(s.Kernel, s.Infra, req, n, seedBase)
+	if req.Harnesses == nil {
+		req.Harnesses = s.Harnesses
+	}
+	return req
 }
