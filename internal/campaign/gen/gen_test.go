@@ -14,6 +14,12 @@ import (
 // clock.
 func runEvents(t *testing.T, m *cpu.Model, p *Program, events []cpu.Event) (raw []float64, cycles float64) {
 	t.Helper()
+	return runEventsOn(t, engine.NewInterpreter(), m, p, events)
+}
+
+// runEventsOn is runEvents through the given engine.
+func runEventsOn(t *testing.T, r cpu.Runner, m *cpu.Model, p *Program, events []cpu.Event) (raw []float64, cycles float64) {
+	t.Helper()
 	if len(events) > m.NumProgrammable {
 		t.Fatalf("model %s has %d counters, want %d", m.Tag, m.NumProgrammable, len(events))
 	}
@@ -27,8 +33,8 @@ func runEvents(t *testing.T, m *cpu.Model, p *Program, events []cpu.Event) (raw 
 	}
 	c.PMU.Enable(mask)
 	c.SeedRun(1)
-	if err := engine.NewInterpreter().RunProgram(c, p.Raw()); err != nil {
-		t.Fatalf("run %s on %s: %v", p.Spec(), m.Tag, err)
+	if err := r.RunProgram(c, p.Raw()); err != nil {
+		t.Fatalf("run %s on %s (%s): %v", p.Spec(), m.Tag, r.Name(), err)
 	}
 	raw = make([]float64, len(events))
 	for slot := range events {
@@ -44,35 +50,41 @@ var allEvents = []cpu.Event{
 	cpu.EventICacheMiss, cpu.EventITLBMiss, cpu.EventDCacheMiss,
 }
 
-// TestTruthMatchesInterpreter is the generator's central property: the
-// analytically computed ground-truth vector equals a bare-core
-// interpreter run bit for bit, for every class, model, and a spread of
-// seeds. The run is repeated per event pair because CD has only two
-// programmable counters.
-func TestTruthMatchesInterpreter(t *testing.T) {
-	for _, class := range Classes {
-		for _, m := range cpu.AllModels {
-			for seed := uint64(0); seed < 8; seed++ {
-				p, err := New(class, seed, DefaultScale)
-				if err != nil {
-					t.Fatal(err)
-				}
-				truth := p.Truth(m)
-				for i := 0; i < len(allEvents); i += 2 {
-					pair := allEvents[i : i+2]
-					raw, cycles := runEvents(t, m, p, pair)
-					for slot, ev := range pair {
-						want, ok := truth.Event(ev)
-						if !ok {
-							t.Fatalf("no truth component for %s", ev)
-						}
-						if raw[slot] != want {
-							t.Errorf("%s on %s: %s = %v, truth says %v",
-								p.Spec(), m.Tag, ev, raw[slot], want)
-						}
+// checkTruth is the generator's central property: the analytically
+// computed ground-truth vector equals a bare-core run through r bit for
+// bit, all six events and the clock, for every class, model, and a
+// spread of seeds. The maximum scale lays programs over several i-TLB
+// pages, so compiled blocks straddle page boundaries and the
+// i-cache/i-TLB counts exercise multi-page footprints. The run is
+// repeated per event pair because CD has only two programmable counters.
+func checkTruth(t *testing.T, r cpu.Runner) {
+	t.Helper()
+	for _, scale := range []int{DefaultScale, MaxScale} {
+		for _, class := range Classes {
+			for _, m := range cpu.AllModels {
+				for seed := uint64(0); seed < 8; seed++ {
+					p, err := New(class, seed, scale)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if cycles != truth.Cycles {
-						t.Errorf("%s on %s: clock %v, truth says %v", p.Spec(), m.Tag, cycles, truth.Cycles)
+					truth := p.Truth(m)
+					for i := 0; i < len(allEvents); i += 2 {
+						pair := allEvents[i : i+2]
+						raw, cycles := runEventsOn(t, r, m, p, pair)
+						for slot, ev := range pair {
+							want, ok := truth.Event(ev)
+							if !ok {
+								t.Fatalf("no truth component for %s", ev)
+							}
+							if raw[slot] != want {
+								t.Errorf("%s on %s (%s): %s = %v, truth says %v",
+									p.Spec(), m.Tag, r.Name(), ev, raw[slot], want)
+							}
+						}
+						if cycles != truth.Cycles {
+							t.Errorf("%s on %s (%s): clock %v, truth says %v",
+								p.Spec(), m.Tag, r.Name(), cycles, truth.Cycles)
+						}
 					}
 				}
 			}
@@ -80,33 +92,17 @@ func TestTruthMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestTruthMatchesCompiled spot-checks that the compiled engine agrees
-// with the truth vector too (full cross-engine coverage lives in the
-// engine conformance fuzz).
+// TestTruthMatchesInterpreter checks the truth vector against the
+// interpreter.
+func TestTruthMatchesInterpreter(t *testing.T) {
+	checkTruth(t, engine.NewInterpreter())
+}
+
+// TestTruthMatchesCompiled checks the truth vector against the compiled
+// engine, so its block-level ICACHE_MISS/ITLB_MISS charging is held to
+// the same oracle as the interpreter's per-instruction fetches.
 func TestTruthMatchesCompiled(t *testing.T) {
-	for _, class := range Classes {
-		p, err := New(class, 42, DefaultScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := cpu.PentiumD
-		truth := p.Truth(m)
-		c := cpu.NewCore(m)
-		if err := c.PMU.Configure(0, cpu.CounterConfig{Event: cpu.EventInstrRetired, User: true}); err != nil {
-			t.Fatal(err)
-		}
-		c.PMU.Enable(1)
-		c.SeedRun(1)
-		if err := engine.NewCompiled(nil).RunProgram(c, p.Raw()); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.PMU.Prog[0].Raw(); got != truth.Instr {
-			t.Errorf("%s compiled: instr %v, truth %v", p.Spec(), got, truth.Instr)
-		}
-		if c.Cycles != truth.Cycles {
-			t.Errorf("%s compiled: cycles %v, truth %v", p.Spec(), c.Cycles, truth.Cycles)
-		}
-	}
+	checkTruth(t, engine.NewCompiled(nil))
 }
 
 // TestDeterminism: identical (class, seed, scale) tuples reproduce

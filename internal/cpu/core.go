@@ -15,6 +15,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/xrand"
@@ -147,11 +148,20 @@ type Core struct {
 	inIRQ   bool
 	inPMI   bool
 	depth   int
-	curAddr uint64              // address of the executing code region
-	lines   map[uint64]struct{} // touched icache lines (cold-miss model)
-	pages   map[uint64]struct{} // touched iTLB pages
-	halted  bool
+	curAddr uint64      // address of the executing code region
+	warm    []PageLines // pages and lines fetched this run (cold-miss model)
 }
+
+// PageLines is a fetch footprint within one 4 KiB i-TLB page: bit i of
+// Lines is the page's i-th 64-byte i-cache line. A page holds exactly
+// 64 lines, so one mask is the page's whole line set.
+type PageLines struct {
+	Page  uint64
+	Lines uint64
+}
+
+// FetchAt returns the page and line an instruction address fetches.
+func FetchAt(addr uint64) PageLines { return PageLines{addr >> 12, 1 << (addr >> 6 & 63)} }
 
 // maxNesting bounds handler recursion (user -> syscall -> interrupt).
 const maxNesting = 8
@@ -164,8 +174,6 @@ func NewCore(m *Model) *Core {
 		FreqScale: 1.0,
 		Syscalls:  make(map[int]*isa.Program),
 		rng:       xrand.New(0),
-		lines:     make(map[uint64]struct{}),
-		pages:     make(map[uint64]struct{}),
 	}
 }
 
@@ -265,12 +273,10 @@ func (c *Core) BeginRun() {
 	c.TimerDeliveries = 0
 	c.OverflowDeliveries = 0
 	c.OverflowsLost = 0
-	c.halted = false
 	c.inIRQ = false
 	c.inPMI = false
 	c.depth = 0
-	clear(c.lines)
-	clear(c.pages)
+	c.warm = c.warm[:0]
 	c.Mode = User
 }
 
@@ -336,7 +342,6 @@ func (c *Core) Step(p *isa.Program, pc int) (next int, done bool, err error) {
 	switch in.Op {
 	case isa.OpHalt:
 		c.retire(1, ClassALU)
-		c.halted = true
 		return pc, true, nil
 
 	case isa.OpSysRet:
@@ -695,13 +700,24 @@ func (c *Core) execStraight(p *isa.Program, pc int, in isa.Instr) error {
 // plainBody reports whether all instructions may be bulk-advanced.
 func plainBody(body []isa.Instr) bool {
 	for _, in := range body {
-		switch in.Op {
-		case isa.OpALU, isa.OpNop, isa.OpLoad, isa.OpStore, isa.OpBranch:
-		default:
+		if !Bulkable(in.Op) {
 			return false
 		}
 	}
 	return true
+}
+
+// Bulkable reports whether an op's accounting is a fixed-cost retire
+// with statically known control flow, so that a run of such ops may be
+// advanced in bulk: plain loop bodies and compiled blocks. Everything
+// else — PMU-visible instructions, syscalls, VarWork's random draw,
+// loops, and frame terminators — is stepped.
+func Bulkable(op isa.Op) bool {
+	switch op {
+	case isa.OpALU, isa.OpNop, isa.OpLoad, isa.OpStore, isa.OpBranch:
+		return true
+	}
+	return false
 }
 
 // IterCycles returns the steady-state cycles per iteration for a loop
@@ -778,13 +794,7 @@ func (c *Core) deliverTimer() error {
 // retire counts n instructions in the current mode and advances time by
 // the per-op cycle cost.
 func (c *Core) retire(n int64, cl Class) {
-	c.PMU.AddInstr(c.Mode, n)
-	if c.Mode == User {
-		c.RetiredUser += n
-	} else {
-		c.RetiredKernel += n
-	}
-	c.addCycles(float64(n) * c.ClassCost(cl))
+	c.RetireBulk(n, float64(n)*c.ClassCost(cl))
 }
 
 // RetireBulk counts n instructions and cyc cycles in the current mode
@@ -812,45 +822,28 @@ func (c *Core) addCycles(cyc float64) {
 // pass through the block would have left.
 func (c *Core) SetExecAddr(addr uint64) { c.curAddr = addr }
 
-// FetchColdCount reports how many of the given i-cache lines and i-TLB
-// pages are still untouched this run, without changing tracking state.
-// The compiled engine folds the corresponding first-touch penalties into
-// a block's bulk cost: penalties are integer cycle constants and miss
-// events integer counts, so the aggregate is exactly what stepping
-// would have charged.
-func (c *Core) FetchColdCount(lines, pages []uint64) (coldLines, coldPages int) {
-	for _, l := range lines {
-		if _, ok := c.lines[l]; !ok {
-			coldLines++
-		}
+// FetchCold reports how many of a footprint's i-cache lines and i-TLB
+// pages are still cold this run, without changing tracking state.
+func (c *Core) FetchCold(fp []PageLines) (lines, pages int) {
+	for _, f := range fp {
+		_, l, p := c.cold(f)
+		lines, pages = lines+l, pages+p
 	}
-	for _, p := range pages {
-		if _, ok := c.pages[p]; !ok {
-			coldPages++
-		}
-	}
-	return coldLines, coldPages
+	return lines, pages
 }
 
-// FetchMark records the lines and pages as touched, charging the cold
-// first-touch miss events and penalty cycles exactly as per-instruction
-// fetches would have. Callers bulk-advancing a region use it with the
-// region's full footprint.
-func (c *Core) FetchMark(lines, pages []uint64) {
-	for _, l := range lines {
-		if _, ok := c.lines[l]; !ok {
-			c.lines[l] = struct{}{}
-			c.PMU.AddEvent(c.Mode, EventICacheMiss, 1)
-			c.addCycles(c.Model.ICacheMissPenalty)
-		}
+// FetchMark records a footprint as fetched and charges the lines and
+// pages FetchCold just counted cold in it. Penalties are integer cycle
+// constants and misses integer counts, so one grouped charge is exactly
+// what per-instruction fetches would have charged.
+func (c *Core) FetchMark(fp []PageLines, lines, pages int) {
+	if lines|pages == 0 {
+		return
 	}
-	for _, p := range pages {
-		if _, ok := c.pages[p]; !ok {
-			c.pages[p] = struct{}{}
-			c.PMU.AddEvent(c.Mode, EventITLBMiss, 1)
-			c.addCycles(c.Model.ITLBMissPenalty)
-		}
+	for _, f := range fp {
+		c.fetch(f)
 	}
+	c.chargeCold(lines, pages)
 }
 
 // fetchPenalty applies cold i-cache and i-TLB costs on first touch of a
@@ -858,16 +851,41 @@ func (c *Core) FetchMark(lines, pages []uint64) {
 // attribution.
 func (c *Core) fetchPenalty(addr uint64) {
 	c.curAddr = addr
-	line := addr >> 6
-	if _, ok := c.lines[line]; !ok {
-		c.lines[line] = struct{}{}
-		c.PMU.AddEvent(c.Mode, EventICacheMiss, 1)
-		c.addCycles(c.Model.ICacheMissPenalty)
+	c.chargeCold(c.fetch(FetchAt(addr)))
+}
+
+// fetch marks f fetched and returns how many of its lines and pages
+// were cold.
+func (c *Core) fetch(f PageLines) (lines, pages int) {
+	i, lines, pages := c.cold(f)
+	if i < 0 {
+		c.warm = append(c.warm, f)
+	} else {
+		c.warm[i].Lines |= f.Lines
 	}
-	page := addr >> 12
-	if _, ok := c.pages[page]; !ok {
-		c.pages[page] = struct{}{}
-		c.PMU.AddEvent(c.Mode, EventITLBMiss, 1)
-		c.addCycles(c.Model.ITLBMissPenalty)
+	return lines, pages
+}
+
+// cold returns the index of f's page in the run's fetched set (-1 when
+// absent) and how many of f's lines and pages are cold. A run touches
+// only a handful of pages, so a scan beats hashing.
+func (c *Core) cold(f PageLines) (i, lines, pages int) {
+	for i := range c.warm {
+		if c.warm[i].Page == f.Page {
+			return i, bits.OnesCount64(f.Lines &^ c.warm[i].Lines), 0
+		}
+	}
+	return -1, bits.OnesCount64(f.Lines), 1
+}
+
+// chargeCold charges cold i-cache line and i-TLB page misses.
+func (c *Core) chargeCold(lines, pages int) {
+	if lines > 0 {
+		c.PMU.AddEvent(c.Mode, EventICacheMiss, float64(lines))
+		c.addCycles(float64(lines) * c.Model.ICacheMissPenalty)
+	}
+	if pages > 0 {
+		c.PMU.AddEvent(c.Mode, EventITLBMiss, float64(pages))
+		c.addCycles(float64(pages) * c.Model.ITLBMissPenalty)
 	}
 }

@@ -409,27 +409,148 @@ func TestBranchSemantics(t *testing.T) {
 	}
 }
 
-func TestColdFrontEndEvents(t *testing.T) {
+// coldCore returns a K8 core counting i-cache and i-TLB misses in both
+// privilege modes.
+func coldCore(t *testing.T) *Core {
+	t.Helper()
 	c := NewCore(Athlon64X2)
-	if err := c.PMU.Configure(0, CounterConfig{Event: EventICacheMiss, User: true, OS: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PMU.Configure(1, CounterConfig{Event: EventITLBMiss, User: true, OS: true}); err != nil {
-		t.Fatal(err)
+	for slot, ev := range []Event{EventICacheMiss, EventITLBMiss} {
+		if err := c.PMU.Configure(slot, CounterConfig{Event: ev, User: true, OS: true}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.PMU.Enable(0b11)
-	// 64 ALU x 4 bytes = 256 bytes = 4+ icache lines, 1 page.
-	p := isa.NewBuilder("p", 0x1000).ALUBlock(64).Emit(isa.Halt()).Build()
-	if err := c.Run(p); err != nil {
-		t.Fatal(err)
+	return c
+}
+
+// TestColdFrontEndEvents pins the first-touch model: every fetched
+// instruction charges its start address's 64-byte line and 4 KiB page
+// once per run, and a run starts with nothing warm.
+func TestColdFrontEndEvents(t *testing.T) {
+	// Sizes 1..15 laid from 10 bytes into a line: starts fall in two
+	// lines, and the last instruction's tail runs into a third, which
+	// stays uncharged because only start addresses are fetched.
+	sized := isa.NewBuilder("sized", 0x2000+10)
+	for size := 1; size <= 15; size++ {
+		sized.Emit(isa.Instr{Op: isa.OpALU, Slot: isa.NoSlot, Size: uint8(size)})
 	}
-	ic, _ := c.PMU.Value(0)
-	tlb, _ := c.PMU.Value(1)
-	if ic < 4 {
-		t.Errorf("icache misses = %d, want >= 4", ic)
+	sized.Emit(isa.Halt())
+	// User code at address 0 and a handler at the kernel's high base
+	// share their low address bits but not their pages.
+	handler := isa.NewBuilder("sys", 0xffff_8000_0000).ALUBlock(20).Emit(isa.SysRet()).Build()
+
+	cases := []struct {
+		name         string
+		p            *isa.Program
+		handler      *isa.Program
+		icache, itlb int64
+	}{
+		// 64 ALU x 4 bytes = 256 bytes: 4 lines of 1 page.
+		{"straight", isa.NewBuilder("p", 0x1000).ALUBlock(64).Emit(isa.Halt()).Build(), nil, 4, 1},
+		{"sizes 1-15", sized.Build(), nil, 2, 1},
+		// 32 ALU x 4 bytes from 0x0fc0: the last line of page 0 and the
+		// first line of page 1.
+		{"straddles 0x1000", isa.NewBuilder("p", 0x0fc0).ALUBlock(32).Emit(isa.Halt()).Build(), nil, 2, 2},
+		// The syscall and terminators fetch nothing; the user ALUs touch
+		// line 0 of page 0, the handler's 80 bytes two lines of its page.
+		{"kernel handler", isa.NewBuilder("p", 0).ALUBlock(4).Emit(isa.Syscall(1), isa.Halt()).Build(), handler, 3, 2},
 	}
-	if tlb != 1 {
-		t.Errorf("itlb misses = %d, want 1", tlb)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := coldCore(t)
+			c.Syscalls[1] = tc.handler
+			var prevIC, prevTLB int64
+			var prevCycles, runCycles float64
+			// The second run must re-charge everything: BeginRun leaves
+			// no fetch history behind.
+			for run := 1; run <= 2; run++ {
+				if err := c.Run(tc.p); err != nil {
+					t.Fatal(err)
+				}
+				ic, _ := c.PMU.Value(0)
+				tlb, _ := c.PMU.Value(1)
+				if ic-prevIC != tc.icache || tlb-prevTLB != tc.itlb {
+					t.Errorf("run %d: icache/itlb misses = %d/%d, want %d/%d",
+						run, ic-prevIC, tlb-prevTLB, tc.icache, tc.itlb)
+				}
+				cyc := c.Cycles - prevCycles
+				if run == 1 {
+					runCycles = cyc
+				} else if cyc != runCycles {
+					t.Errorf("run 2 took %v cycles, run 1 %v", cyc, runCycles)
+				}
+				if tc.handler == nil {
+					want := float64(tc.p.Len())*c.ClassCost(ClassALU) +
+						float64(tc.icache)*c.Model.ICacheMissPenalty + float64(tc.itlb)*c.Model.ITLBMissPenalty
+					if cyc != want {
+						t.Errorf("run %d took %v cycles, want %v", run, cyc, want)
+					}
+				}
+				prevIC, prevTLB, prevCycles = ic, tlb, c.Cycles
+			}
+		})
+	}
+}
+
+// TestFetchFootprint checks the bulk pair FetchCold/FetchMark against
+// per-address fetches: counts are exact for cold, partly warm and warm
+// footprints, and the grouped charge equals the stepwise one.
+func TestFetchFootprint(t *testing.T) {
+	addrs := []uint64{0x0fc0, 0x0fc4, 0x1000, 0x1040, 0x1044, 0xffff_8000_0000}
+	var fp []PageLines
+	for _, a := range addrs {
+		f := FetchAt(a)
+		if n := len(fp); n > 0 && fp[n-1].Page == f.Page {
+			fp[n-1].Lines |= f.Lines
+		} else {
+			fp = append(fp, f)
+		}
+	}
+
+	bulk, step := coldCore(t), coldCore(t)
+	bulk.BeginRun()
+	step.BeginRun()
+	// Warm one line of page 1 first: the footprint then has one warm
+	// page with a cold line, and two cold pages.
+	bulk.fetchPenalty(0x1000)
+	step.fetchPenalty(0x1000)
+	lines, pages := bulk.FetchCold(fp)
+	if lines != 3 || pages != 2 {
+		t.Fatalf("FetchCold = %d lines, %d pages, want 3, 2", lines, pages)
+	}
+	bulk.FetchMark(fp, lines, pages)
+	for _, a := range addrs {
+		step.fetchPenalty(a)
+	}
+	for i := range bulk.PMU.Prog {
+		if b, s := bulk.PMU.Prog[i].Raw(), step.PMU.Prog[i].Raw(); b != s {
+			t.Errorf("counter %d: bulk %v, stepwise %v", i, b, s)
+		}
+	}
+	if bulk.Cycles != step.Cycles {
+		t.Errorf("cycles: bulk %v, stepwise %v", bulk.Cycles, step.Cycles)
+	}
+	if l, p := bulk.FetchCold(fp); l != 0 || p != 0 {
+		t.Errorf("footprint still cold after FetchMark: %d lines, %d pages", l, p)
+	}
+}
+
+// TestFetchResetAllocs: resetting the fetch state and re-fetching a
+// footprint reuses the run's storage.
+func TestFetchResetAllocs(t *testing.T) {
+	c := coldCore(t)
+	fp := []PageLines{FetchAt(0x0fc0), FetchAt(0x1000), FetchAt(0xffff_8000_0000)}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.BeginRun()
+		lines, pages := c.FetchCold(fp)
+		c.FetchMark(fp, lines, pages)
+		c.fetchPenalty(0x1004)
+		if lines, pages := c.FetchCold(fp); lines|pages != 0 {
+			t.Fatalf("warm re-fetch found %d cold lines, %d cold pages", lines, pages)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("BeginRun plus re-fetch allocates %v times per run, want 0", allocs)
 	}
 }
 

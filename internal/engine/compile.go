@@ -26,10 +26,10 @@ type block struct {
 	alu, mem, br int64
 	// misp counts statically mispredicted branches in the block.
 	misp int64
-	// lines and pages are the distinct i-cache lines and i-TLB pages
-	// the block fetches from; bulk application charges any still-cold
-	// ones their first-touch penalties via cpu.Core.FetchMark.
-	lines, pages []uint64
+	// footprint is the block's fetched lines, one mask per page in
+	// address order; bulk application charges any still-cold ones their
+	// first-touch penalties via cpu.Core.FetchMark.
+	footprint []cpu.PageLines
 	// lastAddr is the address of the block's final instruction — the
 	// attribution address a stepwise pass would leave behind.
 	lastAddr uint64
@@ -47,19 +47,6 @@ func (cp *program) blockAt(pc int) *block {
 		return nil
 	}
 	return cp.blocks[pc]
-}
-
-// bulkable reports whether an op may live inside a compiled block: its
-// accounting is a fixed-cost retire with statically known control flow.
-// Everything else — PMU-visible instructions, syscalls, VarWork's
-// random draw, loops (which have their own fast-forward), and frame
-// terminators — is stepped through the core's canonical dispatch.
-func bulkable(op isa.Op) bool {
-	switch op {
-	case isa.OpALU, isa.OpNop, isa.OpLoad, isa.OpStore, isa.OpBranch:
-		return true
-	}
-	return false
 }
 
 // compile lowers p into its basic blocks. Block leaders are the entry
@@ -84,7 +71,7 @@ func compile(p *isa.Program) *program {
 		case isa.OpHalt, isa.OpSysRet, isa.OpIRet:
 			// Frame ends; nothing follows.
 		default:
-			if !bulkable(in.Op) {
+			if !cpu.Bulkable(in.Op) {
 				leaders[pc+1] = true
 			}
 		}
@@ -92,7 +79,7 @@ func compile(p *isa.Program) *program {
 
 	cp := &program{blocks: make([]*block, len(code))}
 	for leader := range leaders {
-		if leader < 0 || leader >= len(code) || !bulkable(code[leader].Op) {
+		if leader < 0 || leader >= len(code) || !cpu.Bulkable(code[leader].Op) {
 			continue
 		}
 		cp.blocks[leader] = lowerBlock(p, leader)
@@ -104,23 +91,21 @@ func compile(p *isa.Program) *program {
 func lowerBlock(p *isa.Program, leader int) *block {
 	code := p.Code
 	b := &block{}
-	seenLine := map[uint64]bool{}
-	seenPage := map[uint64]bool{}
 	pc := leader
 	for pc < len(code) {
 		in := code[pc]
-		if !bulkable(in.Op) {
+		if !cpu.Bulkable(in.Op) {
 			break
 		}
 		addr := p.Addr(pc)
 		b.lastAddr = addr
-		if line := addr >> 6; !seenLine[line] {
-			seenLine[line] = true
-			b.lines = append(b.lines, line)
-		}
-		if page := addr >> 12; !seenPage[page] {
-			seenPage[page] = true
-			b.pages = append(b.pages, page)
+		// Addresses ascend within a block, so a page's lines are
+		// contiguous and extend the last footprint entry.
+		f := cpu.FetchAt(addr)
+		if n := len(b.footprint); n > 0 && b.footprint[n-1].Page == f.Page {
+			b.footprint[n-1].Lines |= f.Lines
+		} else {
+			b.footprint = append(b.footprint, f)
 		}
 		b.n++
 		switch in.Op {

@@ -84,8 +84,8 @@ func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, cp *program) error {
 	pc := 0
 	for {
 		if b := cp.blockAt(pc); b != nil {
-			if cyc, ok := canBulk(c, b); ok {
-				applyBlock(c, b, cyc)
+			if cyc, lines, pages, ok := canBulk(c, b); ok {
+				applyBlock(c, b, cyc, lines, pages)
 				if err := c.CheckInterrupts(); err != nil {
 					return err
 				}
@@ -102,8 +102,9 @@ func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, cp *program) error {
 }
 
 // canBulk decides whether a block may be applied in bulk right now, and
-// returns its cycle cost when it may. Bulk application is allowed only
-// when it is provably byte-identical to stepping:
+// returns its class cycles and still-cold lines and pages when it may.
+// Bulk application is allowed only when it is provably byte-identical
+// to stepping:
 //
 //   - no sampling consumer is installed (overflow interrupts must fire
 //     at exact crossings, which only stepping observes);
@@ -116,31 +117,27 @@ func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, cp *program) error {
 // Cold fetch footprint does NOT force a fallback: first-touch i-cache
 // and i-TLB penalties are integer cycle constants and integer event
 // counts, so charging them en bloc (cpu.Core.FetchMark) is bit-identical
-// to charging them at each instruction's fetch. The returned cost is
-// the class cycles only; FetchMark adds the penalty cycles itself.
-func canBulk(c *cpu.Core, b *block) (float64, bool) {
+// to charging them at each instruction's fetch.
+func canBulk(c *cpu.Core, b *block) (cyc float64, lines, pages int, ok bool) {
 	if c.OnOverflow != nil || c.OverflowHandler != nil {
-		return 0, false
+		return 0, 0, 0, false
 	}
-	cyc := b.cycles(c)
+	cyc = b.cycles(c)
+	lines, pages = c.FetchCold(b.footprint)
 	if c.TimerActive() {
-		total := cyc
-		if coldLines, coldPages := c.FetchColdCount(b.lines, b.pages); coldLines|coldPages != 0 {
-			total += float64(coldLines)*c.Model.ICacheMissPenalty +
-				float64(coldPages)*c.Model.ITLBMissPenalty
-		}
+		total := cyc + (float64(lines)*c.Model.ICacheMissPenalty + float64(pages)*c.Model.ITLBMissPenalty)
 		if c.Cycles+total >= c.Timer.Next {
-			return 0, false
+			return 0, 0, 0, false
 		}
 	}
-	return cyc, true
+	return cyc, lines, pages, true
 }
 
 // applyBlock commits a block's precomputed deltas: cold-fetch misses,
 // mispredict events, retired instructions, cycles, and the attribution
 // address a stepwise pass would have left.
-func applyBlock(c *cpu.Core, b *block, cyc float64) {
-	c.FetchMark(b.lines, b.pages)
+func applyBlock(c *cpu.Core, b *block, cyc float64, lines, pages int) {
+	c.FetchMark(b.footprint, lines, pages)
 	if b.misp > 0 {
 		c.PMU.AddEvent(c.Mode, cpu.EventBrMispRetired, float64(b.misp))
 	}

@@ -18,9 +18,9 @@
 //
 // The compiled engine falls back to stepwise execution inside blocks
 // containing PMU-visible instructions (RDPMC/RDTSC/RDMSR/WRMSR,
-// syscalls, VarWork), when a timer tick could fire mid-block, when the
-// block's fetch footprint is still cold, or when a sampling consumer
-// needs overflow interrupts delivered at exact crossings. Plain loop
+// syscalls, VarWork), when a timer tick could fire mid-block, or when a
+// sampling consumer needs overflow interrupts delivered at exact
+// crossings. A cold fetch footprint is charged in bulk, not stepped. Plain loop
 // bodies keep using the core's existing O(1) loop fast-forward.
 package engine
 

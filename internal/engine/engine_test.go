@@ -176,16 +176,16 @@ func TestCompiledActuallyBulks(t *testing.T) {
 	c := cpu.NewCore(m)
 	c.SeedRun(1)
 	c.BeginRun()
-	cyc, ok := canBulk(c, entry)
+	cyc, lines, pages, ok := canBulk(c, entry)
 	if !ok {
 		t.Fatal("canBulk rejected a cold straight-line block with no timer — the engine would silently step everything")
 	}
-	applyBlock(c, entry, cyc)
+	applyBlock(c, entry, cyc, lines, pages)
 	if err := c.CheckInterrupts(); err != nil {
 		t.Fatal(err)
 	}
 	// The footprint must now be warm: a second canBulk sees no cold cost.
-	if cl, cp2 := c.FetchColdCount(entry.lines, entry.pages); cl != 0 || cp2 != 0 {
+	if cl, cp2 := c.FetchCold(entry.footprint); cl != 0 || cp2 != 0 {
 		t.Fatalf("footprint still cold after applyBlock: %d lines, %d pages", cl, cp2)
 	}
 	bulk := c.Cycles
